@@ -6,9 +6,9 @@ Section 3 is run on **all** ``alpha(m)`` repetition-free inputs:
 * randomized campaigns under four adversaries (eager, replay-flood,
   quiescent-burst, random), all wrapped in bounded-fairness enforcement --
   every run must complete safely;
-* exhaustive state-space exploration per input (``m <= 3``) -- Safety at
-  every reachable configuration of every schedule, and completion
-  reachable;
+* exhaustive state-space exploration per input (``m <= 2`` quick,
+  ``m <= 4`` full) -- Safety at every reachable configuration of every
+  schedule, and completion reachable;
 * attack-search exhaustion over all input pairs (``m <= 2`` quick,
   ``m <= 3`` full) -- the same product engine that breaks overfull
   protocols in T3 must come back empty-handed here.
@@ -81,7 +81,7 @@ def run(
     rng = DeterministicRNG(seed, "t2")
     sizes = (1, 2) if quick else (1, 2, 3, 4)
     seeds = 1 if quick else 2
-    explore_limit = 2 if quick else 3
+    explore_limit = 2 if quick else 4
     attack_limit = 2 if quick else 3
     states_total = 0
     search_seconds = 0.0

@@ -6,9 +6,9 @@ reorder+delete channels:
 
 * randomized campaigns at loss rates 0, 0.3, 0.6, 0.9 (every run must
   complete safely under fairness enforcement);
-* exhaustive exploration with a copy-capped deleting channel (``m <= 2``),
-  drops included -- Safety over every schedule including adversarial
-  deletions;
+* exhaustive exploration with a copy-capped deleting channel (``m <= 2``
+  quick, ``m <= 3`` full), drops included -- Safety over every schedule
+  including adversarial deletions;
 * the Definition 2 boundedness certificate: along eager-driven runs, every
   point's fresh-only witness extension must deliver the next item within
   the constant budget ``f_bound`` (experiment F2 contrasts this with the
@@ -64,6 +64,7 @@ def run(
     rng = DeterministicRNG(seed, "t4")
     sizes = (1, 2) if quick else (1, 2, 3)
     seeds = 1 if quick else 2
+    explore_limit = 2 if quick else 3
     states_total = 0
     search_seconds = 0.0
 
@@ -89,7 +90,7 @@ def run(
 
         explored_states: object = None
         exhaustive_safe: object = None
-        if m <= 2:
+        if m <= explore_limit:
             total = 0
             all_safe = True
             sweep_start = time.perf_counter()

@@ -26,7 +26,24 @@ and maintains:
   in the same order object-graph traversals do (the property that makes
   the fast paths bit-identical);
 * **per-state safety / completion bits** -- ``output_is_safe`` /
-  ``output_is_complete`` evaluated once per state at intern time.
+  ``output_is_complete``, stored for each state at intern time.
+
+Rows are built through a **frame-keyed successor memo**.  An event reads
+and writes only the few configuration fields its kind names in
+:data:`repro.kernel.system.EVENT_FRAMES` (a sender step touches the
+sender and the S->R channel, a drop only its channel), and the automata
+and channels are pure.  So the successor's component ids in those fields
+are a function of the event and the parent's component ids in the same
+fields: the table keys each edge on exactly that, calls
+:meth:`System.apply <repro.kernel.system.System.apply>` only the first
+time it sees a key, and for every later edge with the same key splices
+the remembered ids into the parent's key and looks the successor up by
+key, without building a configuration.  The enabled-event list is
+memoized the same way on the two channel ids, and the safety and
+completion bits on the output id.  ``apply`` stays the only
+implementation of the dynamics; the memo only decides when to call it.
+State ids, event ids, rows and snapshots are exactly what one ``apply``
+call per edge produces.
 
 Compilation is **lazy**: a state's row is built (and its successors
 interned) the first time the row is requested, so unreachable states cost
@@ -46,18 +63,44 @@ across processes and CI runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.kernel.errors import SimulationError
-from repro.kernel.intern import ConfigurationInterner
-from repro.kernel.system import Configuration, Event, System
+from repro.kernel.intern import ConfigurationInterner, Key
+from repro.kernel.system import (
+    ALL_FIELDS,
+    ENABLED_FRAME,
+    VERDICT_FRAME,
+    Configuration,
+    Event,
+    System,
+    event_frame,
+)
 
 #: Version tag embedded in snapshots; bump when the table layout changes.
 SNAPSHOT_SCHEMA = "stp-compiled/1"
 
 Edge = Tuple[int, int]
 Row = Tuple[Edge, ...]
+
+_ENABLED_READS = itemgetter(*ENABLED_FRAME)
+_VERDICT_READS = itemgetter(*VERDICT_FRAME)
+
+
+def _splicer(frame: Tuple[int, ...]) -> Callable[[Tuple[int, ...]], Key]:
+    """``splice(key + written)``: ``written`` in ``frame``, ``key`` elsewhere.
+
+    ``written`` holds one component id per field of ``frame``, in frame
+    order; the result is a full key.
+    """
+    return itemgetter(
+        *(
+            len(ALL_FIELDS) + frame.index(field) if field in frame else field
+            for field in ALL_FIELDS
+        )
+    )
 
 
 class CompiledSystem:
@@ -74,6 +117,7 @@ class CompiledSystem:
         "system",
         "_interner",
         "_configs",
+        "_keys",
         "_safe",
         "_complete",
         "_rows",
@@ -84,12 +128,16 @@ class CompiledSystem:
         "_events",
         "_event_ids",
         "_event_is_drop",
+        "_moves",
+        "_enabled_memo",
+        "_verdict_memo",
     )
 
     def __init__(self, system: System) -> None:
         self.system = system
         self._interner = ConfigurationInterner()
         self._configs: List[Configuration] = []
+        self._keys: List[Key] = []
         self._safe = bytearray()
         self._complete = bytearray()
         self._rows: List[Optional[Row]] = []
@@ -100,19 +148,48 @@ class CompiledSystem:
         self._events: List[Event] = []
         self._event_ids: Dict[Event, int] = {}
         self._event_is_drop: List[bool] = []
+        # The frame-keyed memos (module docstring).  Per event id: the
+        # successor memo (parent's ids in the frame -> successor's ids in
+        # the frame), the getter of the frame's ids, the splicer, and the
+        # frame itself.
+        self._moves: List[
+            Tuple[Dict, Callable, Callable, Tuple[int, ...]]
+        ] = []
+        # Channel ids -> enabled event ids; output id -> (safe, complete).
+        self._enabled_memo: Dict[object, Tuple[int, ...]] = {}
+        self._verdict_memo: Dict[object, Tuple[int, int]] = {}
         obs.add("compiled.tables")
 
     # -- interning -------------------------------------------------------
 
     def _ensure_state(self, config: Configuration) -> int:
         """The dense id of ``config``, interning it on first sight."""
-        state_id, is_new = self._interner.ensure(config)
+        return self._ensure_key(self._interner.key(config), config)
+
+    def _ensure_key(
+        self, key: Key, config: Optional[Configuration] = None
+    ) -> int:
+        """The dense id of the state with ``key``, interned on first sight.
+
+        ``config`` is that state's configuration when the caller has it;
+        otherwise it is decoded from ``key`` if the state is new.
+        """
+        state_id, is_new = self._interner.ensure_key(key)
         if is_new:
+            if config is None:
+                config = self._interner.decode(key)
             self._configs.append(config)
-            self._safe.append(1 if self.system.output_is_safe(config) else 0)
-            self._complete.append(
-                1 if self.system.output_is_complete(config) else 0
-            )
+            self._keys.append(key)
+            reads = _VERDICT_READS(key)
+            verdict = self._verdict_memo.get(reads)
+            if verdict is None:
+                verdict = (
+                    1 if self.system.output_is_safe(config) else 0,
+                    1 if self.system.output_is_complete(config) else 0,
+                )
+                self._verdict_memo[reads] = verdict
+            self._safe.append(verdict[0])
+            self._complete.append(verdict[1])
             self._rows.append(None)
             self._rows_nodrop.append(None)
             self._succ.append(None)
@@ -127,6 +204,10 @@ class CompiledSystem:
             self._event_ids[event] = event_id
             self._events.append(event)
             self._event_is_drop.append(event[0] == "drop")
+            frame = event_frame(event)
+            self._moves.append(
+                ({}, itemgetter(*frame), _splicer(frame), frame)
+            )
         return event_id
 
     def initial_id(self) -> int:
@@ -139,19 +220,37 @@ class CompiledSystem:
         """``(event_id, next_state_id)`` edges in ``enabled_events`` order.
 
         Built on first request (interning every successor); cached
-        afterwards, so the object-graph transition functions run at most
-        once per (state, event) pair for the table's whole lifetime.
+        afterwards.  ``System.apply`` runs once per distinct event and
+        parent ids in the event's frame (module docstring), so at most
+        once per (state, event) pair and usually far less often.
         """
         cached = self._rows[state_id]
         if cached is not None:
             return cached
         system = self.system
         config = self._configs[state_id]
+        key = self._keys[state_id]
+        reads = _ENABLED_READS(key)
+        event_ids = self._enabled_memo.get(reads)
+        if event_ids is None:
+            event_ids = tuple(
+                map(self._ensure_event, system.enabled_events(config))
+            )
+            self._enabled_memo[reads] = event_ids
+        moves = self._moves
+        ensure_key = self._ensure_key
         edges: List[Edge] = []
-        for event in system.enabled_events(config):
-            event_id = self._ensure_event(event)
-            next_id = self._ensure_state(system.apply(config, event))
-            edges.append((event_id, next_id))
+        for event_id in event_ids:
+            memo, frame_reads, splice, frame = moves[event_id]
+            before = frame_reads(key)
+            after = memo.get(before)
+            if after is None:
+                successor = system.apply(config, self._events[event_id])
+                after = self._interner.component_ids(
+                    successor.components(), frame
+                )
+                memo[before] = after
+            edges.append((event_id, ensure_key(splice(key + after))))
         row: Row = tuple(edges)
         # One guarded call per *materialized* row: the warm fast path
         # (cached return above) pays nothing.

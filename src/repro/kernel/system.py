@@ -21,7 +21,7 @@ Events are plain hashable tuples so traces and schedules serialize trivially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Tuple
+from typing import Dict, Hashable, Tuple
 
 from repro.kernel.errors import ChannelError, SimulationError
 from repro.kernel.interfaces import (
@@ -67,6 +67,12 @@ def drop_from_rs(message: Message) -> Event:
     return ("drop", "RS", message)
 
 
+#: Indices of a configuration's five fields, in declaration order (the
+#: order of :meth:`Configuration.components`).
+SENDER, RECEIVER, CHAN_SR, CHAN_RS, OUTPUT = range(5)
+ALL_FIELDS: Tuple[int, ...] = (SENDER, RECEIVER, CHAN_SR, CHAN_RS, OUTPUT)
+
+
 @dataclass(frozen=True)
 class Configuration:
     """One global state of the system.
@@ -85,6 +91,16 @@ class Configuration:
     chan_rs: Hashable
     output: Tuple[DataItem, ...] = ()
 
+    def components(self) -> Tuple:
+        """The five fields as a tuple, indexed by ``SENDER`` .. ``OUTPUT``."""
+        return (
+            self.sender_state,
+            self.receiver_state,
+            self.chan_sr,
+            self.chan_rs,
+            self.output,
+        )
+
     def with_output(self, new_items: Tuple[DataItem, ...]) -> "Configuration":
         """This configuration with items appended to the output tape."""
         if not new_items:
@@ -96,6 +112,39 @@ class Configuration:
             chan_rs=self.chan_rs,
             output=self.output + new_items,
         )
+
+
+#: The *frame* of each event kind (keyed on ``event[:2]``): the fields
+#: :meth:`System.apply` reads for it, which are also the only fields it
+#: writes.  Every other field of the successor is the parent's, so, the
+#: automata and channels being pure, two configurations that agree on an
+#: event's frame have successors that agree on it too.  The compiled
+#: kernel keys its successor memo on this table.  The exactness sweep in
+#: ``tests/verify/test_compiled_equivalence.py`` checks it against
+#: ``apply`` on every registered protocol and channel, and
+#: ``tests/kernel/test_compiled.py`` on the sends and writes no
+#: registered protocol makes (sends on deliveries, writes on steps).
+EVENT_FRAMES: Dict[Tuple[str, str], Tuple[int, ...]] = {
+    ("step", "S"): (SENDER, CHAN_SR),
+    ("step", "R"): (RECEIVER, CHAN_RS, OUTPUT),
+    ("deliver", "SR"): (RECEIVER, CHAN_SR, CHAN_RS, OUTPUT),
+    ("deliver", "RS"): (SENDER, CHAN_SR, CHAN_RS),
+    ("drop", "SR"): (CHAN_SR,),
+    ("drop", "RS"): (CHAN_RS,),
+}
+#: The fields :meth:`System.enabled_events` reads.
+ENABLED_FRAME: Tuple[int, ...] = (CHAN_SR, CHAN_RS)
+#: The fields :meth:`System.output_is_safe` and
+#: :meth:`System.output_is_complete` read.
+VERDICT_FRAME: Tuple[int, ...] = (OUTPUT,)
+
+
+def event_frame(event: Event) -> Tuple[int, ...]:
+    """The fields ``event`` reads and writes (see :data:`EVENT_FRAMES`)."""
+    try:
+        return EVENT_FRAMES[event[:2]]
+    except (KeyError, TypeError):
+        raise SimulationError(f"unknown event {event!r}") from None
 
 
 class System:

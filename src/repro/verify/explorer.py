@@ -14,9 +14,9 @@ configurations yields:
   columns).
 
 The search is *compact*: visited configurations are interned to dense
-integer ids keyed by collapse-compressed byte keys
-(:mod:`repro.verify.intern`), so the visited structure holds one 20-byte
-key per state and never retains
+integer ids keyed by their tuple of component ids
+(:mod:`repro.verify.intern`), so the visited structure holds one 5-tuple
+of small ints per state and never retains
 :class:`~repro.kernel.system.Configuration` objects (only the current and
 next BFS layers are materialized).  With ``store_parents=False`` even the
 parent links are dropped; if a violation then surfaces, the search is

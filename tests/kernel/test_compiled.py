@@ -8,15 +8,87 @@ from repro.adversaries import AgingFairAdversary, EagerAdversary, RandomAdversar
 from repro.channels import DeletingChannel, DuplicatingChannel
 from repro.kernel.compiled import CompiledSystem, compile_system
 from repro.kernel.errors import SimulationError
+from repro.kernel.interfaces import ReceiverProtocol, SenderProtocol, Transition
 from repro.kernel.rng import DeterministicRNG
 from repro.kernel.simulator import Simulator, simulate_compiled
 from repro.kernel.system import System
 from repro.protocols.norepeat import norepeat_protocol
+from repro.protocols.norepeat_del import bounded_del_protocol
 
 
 def make_system(items=("a", "b"), channel=DuplicatingChannel):
     sender, receiver = norepeat_protocol(tuple(sorted(set(items))) or ("a",))
     return System(sender, receiver, channel(), channel(), tuple(items))
+
+
+def grow_fully(table, cap=5_000):
+    """Build every row reachable from the initial state; returns the ids.
+
+    ``cap`` turns a table that never closes (a kernel defect) into a
+    failure instead of a hang.
+    """
+    table.initial_id()
+    state_id = 0
+    while state_id < len(table):
+        assert state_id < cap, f"table grew past {cap} states"
+        table.row(state_id)
+        state_id += 1
+    return range(len(table))
+
+
+class ReactiveSender(SenderProtocol):
+    """A sender that takes its next local step as soon as a message
+    arrives, so it sends on deliveries.
+
+    No registered sender sends on a delivery, so this one exercises the
+    S->R channel field of the sender delivery's frame.
+    """
+
+    def __init__(self, inner: SenderProtocol) -> None:
+        self.inner = inner
+
+    @property
+    def message_alphabet(self):
+        return self.inner.message_alphabet
+
+    def initial_state(self, input_sequence):
+        return self.inner.initial_state(input_sequence)
+
+    def on_message(self, state, message) -> Transition:
+        reaction = self.inner.on_message(state, message)
+        step = self.inner.on_step(reaction.state)
+        return Transition(step.state, reaction.sends + step.sends)
+
+    def on_step(self, state) -> Transition:
+        return self.inner.on_step(state)
+
+
+class DeferredWritesReceiver(ReceiverProtocol):
+    """A receiver that holds back its writes until its next local step.
+
+    No registered receiver writes on a local step, so this one exercises
+    the output field of the receiver step's frame.
+    """
+
+    def __init__(self, inner: ReceiverProtocol) -> None:
+        self.inner = inner
+
+    @property
+    def message_alphabet(self):
+        return self.inner.message_alphabet
+
+    def initial_state(self):
+        return (self.inner.initial_state(), ())
+
+    def on_message(self, state, message) -> Transition:
+        inner_state, pending = state
+        step = self.inner.on_message(inner_state, message)
+        return Transition((step.state, pending + step.writes), step.sends)
+
+    def on_step(self, state) -> Transition:
+        inner_state, pending = state
+        step = self.inner.on_step(inner_state)
+        return Transition((step.state, ()), step.sends, pending + step.writes)
 
 
 class TestRows:
@@ -65,6 +137,51 @@ class TestRows:
         assert table.compiled_rows == 0
         table.row(table.initial_id())
         assert table.compiled_rows == 1
+
+    def test_apply_runs_once_per_frame_transition_not_per_edge(
+        self, monkeypatch
+    ):
+        """The successor memo: the full T4 m=2 table (drops included)
+        calls ``System.apply`` strictly fewer times than it has edges."""
+        calls = []
+        real_apply = System.apply
+
+        def counting_apply(self, config, event):
+            calls.append(event)
+            return real_apply(self, config, event)
+
+        monkeypatch.setattr(System, "apply", counting_apply)
+        sender, receiver = bounded_del_protocol("ab")
+        system = System(
+            sender,
+            receiver,
+            DeletingChannel(max_copies=2),
+            DeletingChannel(max_copies=2),
+            ("a", "b"),
+        )
+        table = CompiledSystem(system)
+        edges = sum(len(table.row(sid)) for sid in grow_fully(table))
+        assert any(event[0] == "drop" for event in calls)
+        assert 0 < len(calls) < edges
+
+    def test_sends_and_writes_on_any_event_stay_exact(self):
+        sender, receiver = norepeat_protocol(("a", "b"))
+        system = System(
+            ReactiveSender(sender),
+            DeferredWritesReceiver(receiver),
+            DuplicatingChannel(),
+            DuplicatingChannel(),
+            ("a", "b"),
+        )
+        table = CompiledSystem(system)
+        states = grow_fully(table)
+        for state_id in states:
+            config = table.config_of(state_id)
+            for event_id, next_id in table.row(state_id):
+                assert table.config_of(next_id) == system.apply(
+                    config, table.event_of(event_id)
+                )
+        assert any(table.is_complete(sid) for sid in states)
 
     def test_compile_system_helper(self):
         table = compile_system(make_system())
@@ -116,6 +233,21 @@ class TestSnapshot:
         for state_id in range(table.compiled_rows):
             assert revived.row(state_id) == table.row(state_id)
             assert revived.config_of(state_id) == table.config_of(state_id)
+        # Growing on from the revived table needs the component ids its
+        # successor memo keys on, which revival rebuilt from the configs.
+        def grow(compiled, level):
+            return list(
+                dict.fromkeys(
+                    nid for sid in level for _, nid in compiled.row(sid)
+                )
+            )
+
+        revived_frontier = frontier = list(dict.fromkeys(frontier))
+        for _ in range(2):
+            frontier = grow(table, frontier)
+            revived_frontier = grow(revived, revived_frontier)
+        assert revived_frontier == frontier
+        assert revived.snapshot() == table.snapshot()
 
     def test_snapshot_rejects_other_schema(self):
         system = make_system()

@@ -2,9 +2,10 @@
 
 Every registered protocol crossed with every registered channel and a
 family of small inputs must produce (a) identical ``ExplorationReport``
-fields from :func:`explore` and :func:`explore_compiled` and (b)
+fields from :func:`explore` and :func:`explore_compiled`, (b)
 identical traces from :class:`Simulator` and :func:`simulate_compiled`
-under a seeded adversary.  This is the contract that lets every layer
+under a seeded adversary, and (c) a compiled table whose every edge is
+one ``System.apply`` step.  This is the contract that lets every layer
 above (campaigns, experiments, the result cache) switch kernels freely.
 """
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.adversaries import AgingFairAdversary, RandomAdversary
 from repro.channels import channel_by_name, channel_names
+from repro.kernel.compiled import CompiledSystem
 from repro.kernel.rng import DeterministicRNG
 from repro.kernel.simulator import Simulator, simulate_compiled
 from repro.kernel.system import System
@@ -70,6 +72,36 @@ class TestCompiledEquivalence:
             max_states=MAX_STATES,
         )
         assert strip_timing(fast) == strip_timing(base)
+
+    def test_every_edge_is_one_apply_step(
+        self, protocol, channel, input_sequence
+    ):
+        """The frame-keyed successor memo against ``apply`` itself.
+
+        Rows are built from memoized frame transitions, so every edge of
+        the table materialized up to ``MAX_STATES`` rows, and every
+        state's bits, must equal what the object-graph functions give
+        for that state's own configuration.
+        """
+        system = build_system(protocol, channel, input_sequence)
+        table = CompiledSystem(system)
+        table.initial_id()
+        state_id = 0
+        while state_id < min(len(table), MAX_STATES):
+            config = table.config_of(state_id)
+            row = table.row(state_id)
+            assert table.enabled(state_id) == system.enabled_events(config)
+            for event_id, next_id in row:
+                assert table.config_of(next_id) == system.apply(
+                    config, table.event_of(event_id)
+                )
+            state_id += 1
+        for state_id in range(len(table)):
+            config = table.config_of(state_id)
+            assert table.is_safe(state_id) == system.output_is_safe(config)
+            assert table.is_complete(state_id) == (
+                system.output_is_complete(config)
+            )
 
     def test_simulation_traces_identical(
         self, protocol, channel, input_sequence
