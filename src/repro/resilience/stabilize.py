@@ -35,10 +35,8 @@ The pipeline, end to end:
     seeded deterministic subsample.
 
 4.  **Multi-source BFS** over the compiled table, seeded with the whole
-    corrupt set at once, with ``L`` absorbing -- the engine twins
-    :func:`repro.kernel.frontier.explore_multi_source_batched` and
-    :func:`repro.kernel.vectorized.explore_multi_source_vectorized`
-    return the identical illegitimate reachable set.
+    corrupt set at once, with ``L`` absorbing
+    (:func:`repro.kernel.frontier.explore_multi_source_batched`).
 
 5.  **Verdicts.**  On that graph, an illegitimate state is a *trap* if
     no path from it reaches ``L``.  A source **stabilizes** iff it
@@ -50,7 +48,7 @@ The pipeline, end to end:
     the per-source "levels until legitimate" verdict.  Both are computed
     with two backward BFS passes over the reversed graph, so they are
     invariant under state-id renumbering: verdicts cannot depend on the
-    engine, backend, or shard count that produced the graph.
+    engine or shard count that produced the graph.
 
 ``reduce=True`` collapses the corrupt initial set under
 :func:`repro.kernel.frontier.stabilization_state_key` (input-pinned
@@ -412,7 +410,7 @@ class StabilizationResult:
             self-stabilizing over this corrupt set.
         corrupt_fingerprint: digest of the enumerated corrupt set.
         corruption: the corruption mode analyzed.
-        engine / reduce / shards / sample / seed: how the run was made.
+        engine / reduce / sample / seed: how the run was made.
         elapsed_seconds / states_per_second: timing.
     """
 
@@ -432,7 +430,6 @@ class StabilizationResult:
     corruption: str
     engine: str
     reduce: bool
-    shards: int
     sample: Optional[int]
     seed: int
     elapsed_seconds: float
@@ -455,7 +452,6 @@ class StabilizationResult:
             "corruption": self.corruption,
             "engine": self.engine,
             "reduce": self.reduce,
-            "shards": self.shards,
             "sample": self.sample,
             "seed": self.seed,
         }
@@ -465,14 +461,10 @@ class StabilizationResult:
 # the analysis entry point
 # ---------------------------------------------------------------------------
 
-_ENGINES = ("scalar", "batched", "vectorized")
-
-
 def analyze_stabilization(
     system: System,
     engine: str = "batched",
     reduce: bool = False,
-    shards: int = 1,
     sample: Optional[int] = None,
     seed: int = 0,
     max_states: int = 500_000,
@@ -483,9 +475,9 @@ def analyze_stabilization(
 ) -> StabilizationResult:
     """Exhaustive corrupted-start analysis of one system.
 
-    ``engine`` selects the multi-source BFS implementation ("scalar" is
-    accepted for CLI symmetry and delegates to the batched engine --
-    there is no per-state order for a set-seeded BFS to preserve);
+    ``engine`` is a label: "scalar" is accepted for CLI symmetry and
+    runs the batched multi-source BFS too -- there is no per-state order
+    for a set-seeded BFS to preserve;
     ``reduce`` explores one representative per symmetry class of the
     corrupt set and expands verdicts back to every member; ``sample``
     (with ``seed``) analyzes a seeded deterministic subsample of the
@@ -495,20 +487,20 @@ def analyze_stabilization(
     ``include_drops`` should stay True on lossy channels: explicit drop
     moves are how the corrupt in-flight garbage drains.
     """
-    if engine not in _ENGINES:
+    from repro.analysis.cache import ENGINES
+
+    if engine not in ENGINES:
         raise VerificationError(
-            f"unknown engine {engine!r}; known: {_ENGINES}"
+            f"unknown engine {engine!r}; known: {ENGINES}"
         )
     if not obs.enabled():
         return _analyze(
-            system, engine, reduce, shards, sample, seed, max_states,
+            system, engine, reduce, sample, seed, max_states,
             channel_depth, include_drops, corruption, domain,
         )
-    with obs.span(
-        "stabilize", engine=engine, reduce=reduce, shards=shards
-    ) as span:
+    with obs.span("stabilize", engine=engine, reduce=reduce) as span:
         result = _analyze(
-            system, engine, reduce, shards, sample, seed, max_states,
+            system, engine, reduce, sample, seed, max_states,
             channel_depth, include_drops, corruption, domain,
         )
         span.set(
@@ -605,51 +597,40 @@ def _prepare(
     )
 
 
-def _analyze(
-    system: System,
-    engine: str,
+def _judge_sources(
+    prep: _StabilizePrep,
+    classes: Dict[object, List[Configuration]],
+    sources: Sequence[Configuration],
     reduce: bool,
-    shards: int,
-    sample: Optional[int],
-    seed: int,
     max_states: int,
-    channel_depth: Optional[int],
     include_drops: bool,
-    corruption: str,
-    domain: Optional[Sequence],
-) -> StabilizationResult:
-    start = time.perf_counter()
-    prep = _prepare(
-        system, sample, seed, max_states, channel_depth, include_drops,
-        corruption, domain,
-    )
+    heartbeat=None,
+) -> Tuple[set, Tuple[Tuple[Configuration, bool, Optional[int]], ...]]:
+    """Multi-source BFS from ``classes`` and one verdict per source.
+
+    ``classes`` is the slice of ``prep.class_of`` being judged (all of
+    it on the host path, one shard's classes on the shard path) and
+    ``sources`` lists its members in verdict order.  Under ``reduce``
+    the BFS starts from one representative per class and each member
+    inherits its representative's verdict.  Returns ``(visited,
+    verdicts)``: the illegitimate states the BFS reached and
+    ``((configuration, stabilizes, depth), ...)`` over ``sources``.
+    """
+    if reduce:
+        bfs_configs = [members[0] for members in classes.values()]
+    else:
+        bfs_configs = list(sources)
     table = prep.table
     legitimate = prep.legitimate
-    corrupt = prep.corrupt
-    fingerprint = prep.fingerprint
-    key_fn = prep.key_fn
-    class_of = prep.class_of
-    source_ids = prep.source_ids
-    classes = len(class_of)
-    if reduce:
-        bfs_configs = [members[0] for members in class_of.values()]
-    else:
-        bfs_configs = list(corrupt)
-    bfs_sources = [source_ids[config] for config in bfs_configs]
-
-    if engine == "vectorized":
-        from repro.kernel.vectorized import explore_multi_source_vectorized
-
-        visited, _widths = explore_multi_source_vectorized(
-            table, bfs_sources, legitimate,
-            max_states=max_states, include_drops=include_drops,
-            shards=shards,
-        )
-    else:  # "batched"; "scalar" delegates (order-free either way)
-        visited, _widths = explore_multi_source_batched(
-            table, bfs_sources, legitimate,
-            max_states=max_states, include_drops=include_drops,
-        )
+    visited, _widths = explore_multi_source_batched(
+        table,
+        [prep.source_ids[config] for config in bfs_configs],
+        legitimate,
+        max_states=max_states,
+        include_drops=include_drops,
+    )
+    if heartbeat is not None:
+        heartbeat()
 
     successor = (
         table.succ_row if include_drops else table.succ_row_without_drops
@@ -668,46 +649,92 @@ def _analyze(
 
     if reduce:
         representative_verdicts = {
-            key: verdict_of(source_ids[members[0]])
-            for key, members in class_of.items()
+            key: verdict_of(prep.source_ids[members[0]])
+            for key, members in classes.items()
         }
         verdicts = tuple(
-            (config, *representative_verdicts[key_fn(config)])
-            for config in corrupt
+            (config, *representative_verdicts[prep.key_fn(config)])
+            for config in sources
         )
     else:
         verdicts = tuple(
-            (config, *verdict_of(source_ids[config])) for config in corrupt
+            (config, *verdict_of(prep.source_ids[config]))
+            for config in sources
         )
+    return visited, verdicts
 
+
+def _result(
+    verdicts: Tuple[Tuple[Configuration, bool, Optional[int]], ...],
+    sources: int,
+    classes: int,
+    legitimate_states: int,
+    explored_states: int,
+    elapsed_seconds: float,
+    **labels,
+) -> StabilizationResult:
+    """The verdict sheet's summary fields, derived from its verdicts.
+
+    ``labels`` carries the fields that only describe the run:
+    ``corrupt_fingerprint``, ``corruption``, ``engine``, ``reduce``,
+    ``sample`` and ``seed``.
+    """
     stabilizing_depths = [d for _, ok, d in verdicts if ok]
-    histogram = tuple(sorted(Counter(stabilizing_depths).items()))
     non_stabilizing = [config for config, ok, _ in verdicts if not ok]
-    explored = len(legitimate) + len(visited)
-    elapsed = time.perf_counter() - start
-
     return StabilizationResult(
-        sources=len(corrupt),
+        sources=sources,
         classes=classes,
-        reduction_ratio=(len(corrupt) / classes) if classes else 1.0,
-        legitimate_states=len(legitimate),
-        explored_states=explored,
+        reduction_ratio=(sources / classes) if classes else 1.0,
+        legitimate_states=legitimate_states,
+        explored_states=explored_states,
         stabilizing=len(stabilizing_depths),
         non_stabilizing=len(non_stabilizing),
         max_depth=max(stabilizing_depths) if stabilizing_depths else None,
-        depth_histogram=histogram,
+        depth_histogram=tuple(sorted(Counter(stabilizing_depths).items())),
         verdicts=verdicts,
         non_stabilizing_examples=tuple(non_stabilizing[:5]),
         converges=not non_stabilizing,
-        corrupt_fingerprint=fingerprint,
+        elapsed_seconds=elapsed_seconds,
+        states_per_second=(
+            explored_states / elapsed_seconds if elapsed_seconds > 0 else 0.0
+        ),
+        **labels,
+    )
+
+
+def _analyze(
+    system: System,
+    engine: str,
+    reduce: bool,
+    sample: Optional[int],
+    seed: int,
+    max_states: int,
+    channel_depth: Optional[int],
+    include_drops: bool,
+    corruption: str,
+    domain: Optional[Sequence],
+) -> StabilizationResult:
+    start = time.perf_counter()
+    prep = _prepare(
+        system, sample, seed, max_states, channel_depth, include_drops,
+        corruption, domain,
+    )
+    visited, verdicts = _judge_sources(
+        prep, prep.class_of, prep.corrupt, reduce, max_states, include_drops
+    )
+    return _result(
+        verdicts,
+        sources=len(prep.corrupt),
+        classes=len(prep.class_of),
+        legitimate_states=len(prep.legitimate),
+        explored_states=len(prep.legitimate) + len(visited),
+        elapsed_seconds=time.perf_counter() - start,
+        corrupt_fingerprint=prep.fingerprint,
         corruption=corruption,
         engine=engine,
         reduce=reduce,
-        shards=shards,
         sample=sample,
         seed=seed,
-        elapsed_seconds=elapsed,
-        states_per_second=explored / elapsed if elapsed > 0 else 0.0,
     )
 
 
@@ -812,51 +839,12 @@ def analyze_stabilization_shard(
     members_sorted = sorted(
         (config for members in mine.values() for config in members), key=repr
     )
-    if reduce:
-        bfs_configs = [members[0] for members in mine.values()]
-    else:
-        bfs_configs = members_sorted
-    bfs_sources = [prep.source_ids[config] for config in bfs_configs]
-
-    compiled = prep.table
-    visited, _widths = explore_multi_source_batched(
-        compiled, bfs_sources, prep.legitimate,
-        max_states=max_states, include_drops=include_drops,
+    visited, verdicts = _judge_sources(
+        prep, mine, members_sorted, reduce, max_states, include_drops,
+        heartbeat=heartbeat,
     )
-    if heartbeat is not None:
-        heartbeat()
-
-    successor = (
-        compiled.succ_row if include_drops else compiled.succ_row_without_drops
-    )
-    adjacency = {
-        sid: tuple(sorted(set(successor(sid)))) for sid in sorted(visited)
-    }
-    depth, doomed = _judge(adjacency, prep.legitimate)
-
-    def verdict_of(sid: int) -> Tuple[bool, Optional[int]]:
-        if sid in prep.legitimate:
-            return True, 0
-        if sid in doomed:
-            return False, None
-        return True, depth[sid]
-
-    if reduce:
-        representative_verdicts = {
-            key: verdict_of(prep.source_ids[members[0]])
-            for key, members in mine.items()
-        }
-        verdicts = tuple(
-            (config, *representative_verdicts[prep.key_fn(config)])
-            for config in members_sorted
-        )
-    else:
-        verdicts = tuple(
-            (config, *verdict_of(prep.source_ids[config]))
-            for config in members_sorted
-        )
     digests = frozenset(
-        _config_digest(compiled.config_of(sid)) for sid in visited
+        _config_digest(prep.table.config_of(sid)) for sid in visited
     )
     return StabilizationShard(
         shard_index=shard_index,
@@ -933,35 +921,19 @@ def merge_stabilization_shards(
     visited_union: FrozenSet[bytes] = frozenset().union(
         *(shard.visited_digests for shard in ordered)
     )
-    stabilizing_depths = [d for _, ok, d in verdicts if ok]
-    histogram = tuple(sorted(Counter(stabilizing_depths).items()))
-    non_stabilizing = [config for config, ok, _ in verdicts if not ok]
-    explored = first.legitimate_states + len(visited_union)
-    elapsed = sum(shard.elapsed_seconds for shard in ordered)
-    return StabilizationResult(
+    return _result(
+        verdicts,
         sources=first.sources,
         classes=first.classes,
-        reduction_ratio=(
-            first.sources / first.classes if first.classes else 1.0
-        ),
         legitimate_states=first.legitimate_states,
-        explored_states=explored,
-        stabilizing=len(stabilizing_depths),
-        non_stabilizing=len(non_stabilizing),
-        max_depth=max(stabilizing_depths) if stabilizing_depths else None,
-        depth_histogram=histogram,
-        verdicts=verdicts,
-        non_stabilizing_examples=tuple(non_stabilizing[:5]),
-        converges=not non_stabilizing,
+        explored_states=first.legitimate_states + len(visited_union),
+        elapsed_seconds=sum(shard.elapsed_seconds for shard in ordered),
         corrupt_fingerprint=first.corrupt_fingerprint,
         corruption=first.corruption,
         engine="batched",
         reduce=first.reduce,
-        shards=1,
         sample=first.sample,
         seed=first.seed,
-        elapsed_seconds=elapsed,
-        states_per_second=explored / elapsed if elapsed > 0 else 0.0,
     )
 
 

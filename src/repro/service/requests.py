@@ -30,14 +30,12 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.analysis.cache import ENGINES
 from repro.service.protocol import (
     VERIFY_KINDS,
     BadRequest,
     BudgetExceeded,
 )
-
-#: Engines a request may name (validated at parse time).
-ENGINES = ("scalar", "batched", "vectorized")
 
 
 @dataclass(frozen=True)
@@ -451,14 +449,13 @@ class StabilizeRequest:
     def outcome(self, result) -> Dict[str, object]:
         """The engine-independent projection of a stabilization result.
 
-        ``engine`` and ``shards`` are execution details excluded from
-        the report key, so they are stripped here too -- coalesced
-        requests naming different engines still read identical bytes.
-        A non-stabilizing protocol is a *finding*, not an error.
+        ``engine`` is an execution detail excluded from the report key,
+        so it is stripped here too -- coalesced requests naming
+        different engines still read identical bytes.  A
+        non-stabilizing protocol is a *finding*, not an error.
         """
         payload = dict(result.summary())
         payload.pop("engine", None)
-        payload.pop("shards", None)
         return payload
 
 

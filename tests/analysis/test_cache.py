@@ -228,3 +228,11 @@ class TestCachedExplore:
     def test_without_cache_is_plain_explore_compiled(self):
         report = cached_explore(make_system(), cache=None)
         assert strip_timing(report) == strip_timing(explore(make_system()))
+
+    def test_unknown_engine_is_rejected(self):
+        with pytest.raises(ValueError, match="engine"):
+            cached_explore(make_system(), engine="gpu")
+
+    def test_reduce_requires_batched(self):
+        with pytest.raises(ValueError, match="reduce"):
+            cached_explore(make_system(), engine="scalar", reduce=True)

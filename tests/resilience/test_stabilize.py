@@ -3,11 +3,10 @@
 Three layers of evidence:
 
 * **Engine equivalence** -- the per-source stabilization verdicts are
-  bit-identical across the batched and vectorized multi-source BFS
-  engines, both vectorized array backends, every shard count, and
-  reduced vs. unreduced corrupt initial sets.  Verdicts are computed as
-  graph-isomorphism invariants, so any divergence here is a bug in an
-  engine, not a modelling choice.
+  bit-identical across engine labels, reduced vs. unreduced corrupt
+  initial sets, and single-host vs. merged shard analyses at every
+  shard count.  Verdicts are computed as graph-isomorphism invariants,
+  so any divergence here is a bug in an engine, not a modelling choice.
 * **The qualitative split** the workload family exists to show: the
   self-stabilizing ARQ converges from *every* corrupt start (finite max
   depth), while plain ABP has corrupt starts it can never recover from
@@ -28,7 +27,6 @@ from repro.analysis.cache import ResultCache, cached_stabilize
 from repro.analysis.campaign import Campaign
 from repro.adversaries import EagerAdversary
 from repro.channels import LossyFifoChannel
-from repro.kernel import vectorized
 from repro.kernel.errors import VerificationError
 from repro.kernel.rng import DeterministicRNG
 from repro.kernel.system import System
@@ -38,8 +36,10 @@ from repro.resilience.stabilize import (
     CorruptedStartReceiver,
     CorruptedStartSender,
     analyze_stabilization,
+    analyze_stabilization_shard,
     corrupt_initial_set,
     corrupt_set_fingerprint,
+    merge_stabilization_shards,
 )
 
 ITEMS = ("a", "b")
@@ -75,17 +75,6 @@ def invariants(result):
     )
 
 
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the vectorized engine on each array backend (see
-    tests/verify/test_frontier_equivalence.py)."""
-    if request.param == "numpy" and vectorized._resolve_np() is None:
-        pytest.skip("numpy not installed")
-    if request.param == "python":
-        monkeypatch.setattr(vectorized, "_np", None)
-    return request.param
-
-
 SHARD_COUNTS = (1, 3)
 PROTOCOLS = ("abp", "ss-arq")
 
@@ -110,26 +99,26 @@ class TestEngineEquivalence:
         )
         assert invariants(scalar) == invariants(baseline)
 
-    def test_vectorized_matches_batched_across_shards(
-        self, protocol, backend
-    ):
-        baseline = analyze_stabilization(
-            build_system(protocol), engine="batched", domain=DOMAIN
-        )
+    def test_merged_shards_match_single_host(self, protocol):
         for reduce in (False, True):
-            for shards in SHARD_COUNTS:
-                fast = analyze_stabilization(
-                    build_system(protocol),
-                    engine="vectorized",
-                    reduce=reduce,
-                    shards=shards,
-                    domain=DOMAIN,
+            host = analyze_stabilization(
+                build_system(protocol), reduce=reduce, domain=DOMAIN
+            )
+            for count in SHARD_COUNTS:
+                merged = merge_stabilization_shards(
+                    [
+                        analyze_stabilization_shard(
+                            build_system(protocol),
+                            index,
+                            count,
+                            reduce=reduce,
+                            domain=DOMAIN,
+                        )
+                        for index in range(count)
+                    ]
                 )
-                assert invariants(fast) == invariants(baseline), (
-                    reduce,
-                    shards,
-                    backend,
-                )
+                assert invariants(merged) == invariants(host), (reduce, count)
+                assert merged.explored_states == host.explored_states
 
 
 class TestVerdicts:
@@ -225,21 +214,19 @@ class TestCorruptSet:
 
 
 class TestCache:
-    def test_round_trip_restamps_engine_and_shards(self, tmp_path):
+    def test_round_trip_restamps_engine(self, tmp_path):
         cache = ResultCache(tmp_path)
         cold = cached_stabilize(build_system("abp"), cache=cache, domain=DOMAIN)
         assert cache.misses == 1
         warm = cached_stabilize(
             build_system("abp"),
             cache=cache,
-            engine="vectorized",
-            shards=3,
+            engine="scalar",
             domain=DOMAIN,
         )
         assert cache.hits == 1
         assert invariants(warm) == invariants(cold)
-        assert warm.engine == "vectorized"
-        assert warm.shards == 3
+        assert warm.engine == "scalar"
 
     def test_corruption_mode_changes_the_key(self, tmp_path):
         cache = ResultCache(tmp_path)

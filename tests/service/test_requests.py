@@ -58,8 +58,10 @@ def test_unknown_channel_names_the_registry():
 
 
 def test_unknown_engine_is_bad_request():
-    with pytest.raises(BadRequest, match="engine"):
-        _parse("explore", protocol="norepeat", channel="dup", engine="quantum")
+    # The second name is a retired engine old clients may still send.
+    for engine in ("quantum", "vectorized"):
+        with pytest.raises(BadRequest, match="engine"):
+            _parse("explore", protocol="norepeat", channel="dup", engine=engine)
 
 
 def test_reduce_requires_batched_engine():
