@@ -7,48 +7,18 @@ collected with pytest-benchmark in pedantic single-shot mode (the subject
 is the experiment, not microseconds); pass ``-s`` to see the tables inline,
 or read EXPERIMENTS.md for the archived copies.
 
-Every experiment timed here is also appended to a
-:class:`repro.analysis.perfreport.PerfReport`; at session end the report
-is written to ``BENCH_PR10.json`` at the repo root, the same artifact
-``stp-repro bench`` produces, so benchmark runs leave a diffable perf
-trail PR over PR.  Observability collection (:mod:`repro.obs`) is on for
-the session, so the artifact carries ``spans:`` and ``metrics:``
-sections beside the timing records.
-
-Setting ``STP_REPRO_TRACE_OUT=<path>`` additionally writes the session's
-full span stream to that path as JSONL at session end -- the nightly
-workflow uses this to upload a debuggable trace when a benchmark leg
-fails.
+The repository's performance benchmark is ``perfbench/`` (declared by
+``BENCHMARK.json``); ``benchmarks/perfbench_ab.py`` compares two source
+trees on it.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from pathlib import Path
-
-import pytest
-
-from repro import obs
-from repro.analysis.perfreport import BENCH_FILENAME, PerfReport
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-_REPORT = PerfReport(label="benchmarks")
-
-TRACE_OUT_ENV = "STP_REPRO_TRACE_OUT"
-
-
-def pytest_configure(config):
-    """Collect spans/metrics for the whole benchmark session."""
-    obs.enable()
-
 
 def run_and_report(benchmark, experiment_id: str, seed: int = 0, quick: bool = False):
-    """Run one experiment under the benchmark clock and report it."""
+    """Run one experiment under the benchmark clock and print its table."""
     from repro.experiments import run_experiment
 
-    start = time.perf_counter()
     result = benchmark.pedantic(
         run_experiment,
         args=(experiment_id,),
@@ -56,39 +26,9 @@ def run_and_report(benchmark, experiment_id: str, seed: int = 0, quick: bool = F
         rounds=1,
         iterations=1,
     )
-    _REPORT.add(
-        f"experiment:{experiment_id}",
-        time.perf_counter() - start,
-        runs=len(result.rows),
-        states=result.states,
-        states_per_second=(
-            result.states / result.search_seconds
-            if result.states and result.search_seconds
-            else None
-        ),
-        quick=quick,
-        checks_passed=result.all_checks_pass,
-    )
     print()
     print(result.rendered)
     if result.notes:
         print(f"notes: {result.notes}")
     result.assert_checks()
     return result
-
-
-def perf_report() -> PerfReport:
-    """The session-wide report (bench modules may append extra records)."""
-    return _REPORT
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write the perf artifact once all benchmarks have run."""
-    if _REPORT.records:
-        _REPORT.attach_observability()
-        _REPORT.write(REPO_ROOT / BENCH_FILENAME)
-    trace_out = os.environ.get(TRACE_OUT_ENV)
-    if trace_out:
-        from repro.obs.exporters import write_spans_jsonl
-
-        write_spans_jsonl(trace_out, obs.tracer().spans())

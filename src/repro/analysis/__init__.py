@@ -6,9 +6,9 @@
   use (mean, median, percentiles, min/max summaries).
 * :mod:`repro.analysis.tables` -- deterministic ASCII tables and series,
   the output format of every benchmark.
-* :mod:`repro.analysis.perfreport` -- wall-clock perf records and the
-  PR-over-PR ``BENCH_PR10.json`` artifact (with ``spans:``/``metrics:``
-  sections from :mod:`repro.obs`).
+* :mod:`repro.analysis.perfreport` -- wall-clock perf records in the
+  ``repro-perf/1`` JSON artifact that ``chaos`` and ``stabilize`` write
+  (with ``spans:``/``metrics:`` sections from :mod:`repro.obs`).
 * :mod:`repro.analysis.cache` -- the content-addressed on-disk result
   cache (compiled tables, exploration reports, campaign run metrics,
   corrupted-start stabilization verdicts).
@@ -28,7 +28,7 @@ from repro.analysis.metrics import (
     measure_run,
     summarize,
 )
-from repro.analysis.perfreport import PerfRecord, PerfReport, run_default_bench
+from repro.analysis.perfreport import PerfRecord, PerfReport
 from repro.analysis.stats import Summary, five_number, mean, median, percentile
 from repro.analysis.tables import format_cell, render_series, render_table
 
@@ -54,5 +54,4 @@ __all__ = [
     "sequence_diagram",
     "PerfRecord",
     "PerfReport",
-    "run_default_bench",
 ]

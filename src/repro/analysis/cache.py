@@ -18,8 +18,9 @@ Three layers use this module:
 * :class:`repro.analysis.campaign.Campaign` with ``cache=`` -- per-grid-cell
   :class:`~repro.analysis.metrics.RunMetrics` keyed by (campaign spec,
   RNG identity, input, seed);
-* the T2/T4/F2 experiments and ``stp-repro bench`` -- which report hit /
-  miss counts into ``BENCH_PR10.json``.
+* the T2/T4/F2 experiments, through :func:`cached_explore` with the
+  ``cache=`` they are given; the service reports the hit / miss counts
+  in its ``stats`` answer.
 
 :func:`cached_stabilize` extends the same scheme to corrupted-start
 analysis: the report key pins everything the corrupt initial set and its

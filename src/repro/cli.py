@@ -33,14 +33,6 @@ Subcommands:
   machine form);
 * ``worker`` -- one pull-based fabric worker loop over a shared queue
   directory and cache store (start several, on one host or many);
-* ``bench`` -- time experiments, exhaustive exploration (object-graph,
-  compiled-table, and batched-frontier), and the
-  serial-vs-parallel campaign sweep, and write the ``BENCH_PR10.json``
-  perf artifact tracked PR over PR (carrying ``spans:`` and ``metrics:``
-  sections from the observability layer); ``--cache-dir`` turns on the
-  content-addressed result cache (``--no-cache`` runs cold);
-  ``--engine``/``--reduce`` select the experiments' exploration
-  engine;
 * ``chaos`` -- run the fault-injection matrix (every protocol family
   crossed with the fault vocabulary) plus the F8 recovery sweep under the
   self-healing runner, and write the ``BENCH_PR2.json`` resilience
@@ -64,10 +56,11 @@ Subcommands:
 * ``request`` -- send one request (``explore``/``stabilize``/
   ``campaign``, or ``ping``/``stats``/``shutdown``) to a running
   service and print the canonical outcome JSON;
-* ``stats`` -- render the span and metrics tables out of a BENCH_*.json
-  artifact or a ``.jsonl`` span trace (``--json`` for machine form).
+* ``stats`` -- render the span and metrics tables out of a
+  ``repro-perf/1`` artifact (what ``chaos`` and ``stabilize --out``
+  write) or a ``.jsonl`` span trace (``--json`` for machine form).
 
-``bench``, ``chaos``, and ``run`` accept ``--profile cprofile|spans``
+``run``, ``chaos``, and ``stabilize`` accept ``--profile cprofile|spans``
 (opt-in profiling hooks: cProfile's top functions, or live span/metrics
 tables) and ``--trace-out FILE`` (full span stream as JSONL).
 """
@@ -318,36 +311,6 @@ def _cmd_report(args) -> int:
     from repro.experiments.report import generate
 
     return 0 if generate(args.path, seed=args.seed, quick=args.quick) else 1
-
-
-def _cmd_bench(args) -> int:
-    with _profiled(args, label="stp-repro bench"):
-        return _run_bench(args)
-
-
-def _run_bench(args) -> int:
-    from repro.analysis.cache import ResultCache
-    from repro.analysis.perfreport import run_default_bench
-
-    experiment_ids = (
-        tuple(i.upper() for i in args.ids) if args.ids else ("T1", "T2", "F1", "F5")
-    )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir)  # None -> default root
-    report = run_default_bench(
-        experiment_ids=experiment_ids,
-        seed=args.seed,
-        quick=not args.full,
-        workers=args.workers,
-        cache=cache,
-        engine=args.engine,
-        reduce=args.reduce,
-    )
-    print(report.render())
-    path = report.write(args.out)
-    print(f"wrote {path}")
-    return 0
 
 
 def _cmd_explore(args) -> int:
@@ -609,8 +572,9 @@ def _run_chaos_command(args) -> int:
 def _cmd_stats(args) -> int:
     """Render the observability tables from an artifact on disk.
 
-    Accepts either a perf/chaos artifact (``BENCH_*.json``, whose
-    ``spans:``/``metrics:`` sections are rendered directly) or a span
+    Accepts either a ``repro-perf/1`` artifact (``chaos`` or
+    ``stabilize --out``, whose ``spans:``/``metrics:`` sections are
+    rendered directly) or a span
     trace (``*.jsonl`` written by ``--trace-out``, whose spans are
     re-summarized first).
     """
@@ -647,7 +611,7 @@ def _cmd_stats(args) -> int:
     if summaries is None and metrics is None:
         print(
             f"{path} has no spans:/metrics: sections -- regenerate it with "
-            "a bench/chaos build that carries the observability layer",
+            "a chaos/stabilize build that carries the observability layer",
             file=sys.stderr,
         )
         return 1
@@ -1158,38 +1122,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     report_parser.add_argument("--quick", action="store_true")
     report_parser.set_defaults(func=_cmd_report)
 
-    bench_parser = sub.add_parser(
-        "bench", help="time the perf suite and write BENCH_PR10.json"
-    )
-    bench_parser.add_argument(
-        "ids", nargs="*", help="experiment ids to time (default: T1 T2 F1 F5)"
-    )
-    bench_parser.add_argument("--seed", type=int, default=0)
-    bench_parser.add_argument(
-        "--full", action="store_true", help="full (non-quick) experiment runs"
-    )
-    bench_parser.add_argument("--workers", type=int, default=4)
-    bench_parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "root of the content-addressed result cache (default: "
-            "$STP_REPRO_CACHE or ~/.cache/stp-repro)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache entirely (every run is cold)",
-    )
-    bench_parser.add_argument(
-        "--out", default="BENCH_PR10.json", help="output path for the perf JSON"
-    )
-    _add_engine_arguments(bench_parser)
-    _add_profile_arguments(bench_parser)
-    bench_parser.set_defaults(func=_cmd_bench)
-
     explore_parser = sub.add_parser(
         "explore", help="exhaustively explore one system and print the report"
     )
@@ -1689,13 +1621,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     stats_parser = sub.add_parser(
         "stats",
-        help="render span/metrics tables from a BENCH_*.json or spans .jsonl",
+        help="render span/metrics tables from a perf artifact or spans .jsonl",
     )
     stats_parser.add_argument(
-        "path",
-        nargs="?",
-        default="BENCH_PR10.json",
-        help="perf/chaos artifact or span trace (default: BENCH_PR10.json)",
+        "path", help="perf artifact (chaos, stabilize --out) or span trace"
     )
     stats_parser.add_argument(
         "--json",

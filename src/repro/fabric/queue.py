@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 import socket
 import time
 from pathlib import Path
@@ -398,9 +399,15 @@ class WorkQueue:
 
     @staticmethod
     def _write_json(path: Path, payload: Dict) -> None:
-        """Atomic JSON publish (unique tmp + rename), like the store."""
+        """Atomic JSON publish (unique tmp + rename), like the store.
+
+        The random token keeps the temporary name unique across hosts:
+        two hosts on a shared filesystem can run writers with the same
+        pid in the same ``monotonic_ns`` tick.
+        """
         temporary = path.parent / (
-            f".{path.stem}.{os.getpid()}.{time.monotonic_ns()}.tmp"
+            f".{path.stem}.{os.getpid()}.{time.monotonic_ns()}."
+            f"{secrets.token_hex(4)}.tmp"
         )
         temporary.write_text(json.dumps(payload, indent=2) + "\n")
         os.replace(temporary, path)

@@ -19,16 +19,10 @@ loops into C:
   set-wise -- a Safety violation, or a ``max_states`` budget that runs
   out in the *middle* of a level -- are delegated wholesale to the scalar
   search, which recomputes the exact answer over the (now warm) table.
-* :class:`FrontierFamily` / :func:`explore_family_batched` -- one
-  level-synchronous sweep over the *disjoint union* of a whole workload
-  family's state spaces.  The paper's protocols induce narrow, deep
-  spaces (width ~1), so batching within one system barely helps; batching
-  *across* the family restores wide frontiers and is where the measured
-  speedup lives.
-* **Symmetry reduction** (``reduce=True``) -- quotient states (or whole
-  family members) equivalent under a renaming of data items.  Renaming a
-  data item consistently everywhere it occurs cannot change whether the
-  output is a prefix of the input, so Safety/completion *verdicts* are
+* **Symmetry reduction** (``reduce=True``) -- quotient states
+  equivalent under a renaming of data items.  Renaming a data item
+  consistently everywhere it occurs cannot change whether the output is
+  a prefix of the input, so Safety/completion *verdicts* are
   preserved; state counts refer to equivalence classes.  Soundness is not
   argued here once and for all -- it is property-swept against the
   unreduced explorer across the full protocol x channel registry by
@@ -53,7 +47,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -105,26 +98,6 @@ def _placeholder(index: int) -> _Placeholder:
     return _PLACEHOLDERS[index]
 
 
-def canonical_input_signature(input_sequence: Sequence) -> Tuple[int, ...]:
-    """The input sequence with items renamed by first occurrence.
-
-    ``("b", "a", "b")`` and ``("x", "y", "x")`` share the signature
-    ``(0, 1, 0)``: the two systems differ only by the bijection
-    ``b<->x, a<->y`` on data items, so (for protocols that treat data
-    items opaquely -- the property-swept assumption) their state spaces
-    are isomorphic and one exploration answers for both.
-    """
-    mapping: Dict[object, int] = {}
-    out: List[int] = []
-    for item in input_sequence:
-        index = mapping.get(item)
-        if index is None:
-            index = len(mapping)
-            mapping[item] = index
-        out.append(index)
-    return tuple(out)
-
-
 def _rename(value, mapping: Dict[object, _Placeholder], items: frozenset):
     """Structurally rename every data item of ``items`` inside ``value``.
 
@@ -165,11 +138,8 @@ def canonical_state_key(system: System) -> Callable[[Configuration], Hashable]:
     On the repetition-free inputs this repository sweeps, every data item
     in a reachable configuration already occurs in the input, so such a
     bijection is forced to the identity and the within-run quotient is
-    trivial (ratio ~1).  The hook still earns its keep two ways: as the
-    seam a protocol with genuinely interchangeable payloads plugs into,
-    and as the per-state half of the *family-level* reduction (see
-    :class:`FrontierFamily`), where whole isomorphic systems -- not
-    states -- collapse and the ratio is large.
+    trivial (ratio ~1).  The hook is the seam a protocol with genuinely
+    interchangeable payloads plugs into.
     """
     items = frozenset(system.input_sequence)
     input_sequence = system.input_sequence
@@ -843,296 +813,3 @@ def _emit_frontier_gauges(stats: Optional[dict]) -> None:
     obs.gauge_set("frontier.width", stats["width"])
     if "reduction_ratio" in stats:
         obs.gauge_set("frontier.reduction_ratio", stats["reduction_ratio"])
-
-
-# ---------------------------------------------------------------------------
-# family engine: one sweep over the disjoint union of a workload family
-# ---------------------------------------------------------------------------
-
-
-class FrontierFamily:
-    """A reusable union-of-state-spaces sweep over a workload family.
-
-    Construction warms every member system (one full scalar-exact batched
-    exploration each) and packs the members that drained safely into one
-    flat successor array over global ids ``(member_index << shift) |
-    state_id``.  Each :meth:`explore` call then answers *all* members
-    with a single level-synchronous BFS over the union -- the frontiers
-    of 65 width-1 systems stack into one wide frontier, which is what
-    makes whole-set C operations pay.
-
-    Members that are unsafe or exceed ``max_states`` at warm-up (and any
-    member whose per-call budget undercuts its known state count) take
-    the exact scalar path instead, so every report matches
-    ``explore_compiled`` bit-for-bit in unreduced mode -- except the two
-    timing fields, which deliberately describe the *shared* sweep: each
-    report carries the whole sweep's wall time and the aggregate
-    throughput (total states / sweep seconds).
-
-    With ``reduce=True`` members are grouped by
-    :func:`canonical_input_signature`; one representative per isomorphism
-    class is swept and its report is shared by the whole class (verdict
-    equality across a class is the property-swept soundness claim).  The
-    achieved ratio is exposed via ``last_stats["reduction_ratio"]`` and
-    the ``frontier.reduction_ratio`` gauge.
-
-    Build-time edge pruning: self-loops and duplicate successor targets
-    are removed from the union rows.  Set-based BFS evolution (visited /
-    frontier contents per level) is invariant under both, so reports are
-    unchanged -- but the duplicating channels make such edges the
-    majority, and dropping them shrinks the bulk unions accordingly.
-    """
-
-    def __init__(
-        self,
-        systems: Sequence[System],
-        include_drops: bool = True,
-        tables: Optional[Sequence[CompiledSystem]] = None,
-        max_states: int = 1_000_000,
-    ) -> None:
-        if not systems:
-            raise VerificationError("FrontierFamily needs at least one system")
-        if tables is not None and len(tables) != len(systems):
-            raise VerificationError(
-                "tables, when given, must match systems one-to-one"
-            )
-        self.systems: Tuple[System, ...] = tuple(systems)
-        self.include_drops = include_drops
-        self.warm_max_states = max_states
-        self.tables: Tuple[CompiledSystem, ...] = tuple(
-            tables
-            if tables is not None
-            else (CompiledSystem(s) for s in systems)
-        )
-        self.last_stats: Dict[str, float] = {}
-
-        # Warm every member with the exact engine; the warm reports tell
-        # us which members the union sweep may answer (drained + safe).
-        warm_reports = []
-        for system, table in zip(self.systems, self.tables):
-            report, _snapshot, _stats = _explore_batched_core(
-                system, max_states, include_drops, True, table,
-                capture=False, resume_from=None, fingerprint="",
-            )
-            warm_reports.append(report)
-        self._warm_states = [r.states for r in warm_reports]
-        self._fast = [
-            i
-            for i, r in enumerate(warm_reports)
-            if r.all_safe and not r.truncated
-        ]
-        self._slow = [
-            i for i in range(len(self.systems)) if i not in set(self._fast)
-        ]
-
-        # Flat union arrays over the fast members.
-        shift = 0
-        for i in self._fast:
-            shift = max(shift, len(self.tables[i]).bit_length())
-        self._shift = shift
-        size = len(self.systems) << shift if self._fast else 0
-        succ_union: List[Tuple[int, ...]] = [()] * size
-        member_of: List[int] = [0] * size
-        inits: Dict[int, int] = {}
-        complete_gids = set()
-        succ_of = (
-            (lambda t: t.succ_row)
-            if include_drops
-            else (lambda t: t.succ_row_without_drops)
-        )
-        for i in self._fast:
-            table = self.tables[i]
-            base = i << shift
-            inits[i] = base + table.initial_id()
-            row = succ_of(table)
-            complete = table._complete
-            for sid in range(len(table)):
-                gid = base + sid
-                kept = tuple(
-                    sorted({base + nid for nid in row(sid)} - {gid})
-                )
-                succ_union[gid] = kept
-                member_of[gid] = i
-                if complete[sid]:
-                    complete_gids.add(gid)
-        self._succ_union = succ_union
-        self._member_of = member_of
-        self._inits = inits
-        self._complete_gids = frozenset(complete_gids)
-
-        # Isomorphism classes for family-level reduction: members whose
-        # inputs differ only by a renaming of data items.
-        classes: Dict[Tuple[int, ...], List[int]] = {}
-        for i in self._fast:
-            signature = canonical_input_signature(
-                self.systems[i].input_sequence
-            )
-            classes.setdefault(signature, []).append(i)
-        self._classes = classes
-
-        # Precomputed seed/share maps for the common every-member-swept
-        # call, so the hot path allocates nothing before the BFS.
-        self._share_identity: Dict[int, Tuple[int, ...]] = {
-            i: (i,) for i in self._fast
-        }
-        self._share_reduced: Dict[int, Tuple[int, ...]] = {
-            members[0]: tuple(members) for members in classes.values()
-        }
-
-    # -- sweeps ----------------------------------------------------------
-
-    def explore(self, max_states: int = 1_000_000, reduce: bool = False):
-        """Reports for every member, in member order, from one sweep."""
-        if not obs.enabled():
-            return self._explore(max_states, reduce)
-        with obs.span(
-            "explore_family",
-            engine="batched",
-            systems=len(self.systems),
-            reduce=reduce,
-        ) as _span:
-            reports = self._explore(max_states, reduce)
-            stats = self.last_stats
-            _span.set(
-                states=int(stats.get("states", 0)),
-                depth=int(stats.get("depth", 0)),
-                width=int(stats.get("width", 0)),
-            )
-            obs.add("explorer.searches", len(reports))
-            obs.add("explorer.compiled_searches", len(reports))
-            obs.add("explorer.states", sum(r.states for r in reports))
-            obs.add(
-                "explorer.expanded", sum(r.expanded_states for r in reports)
-            )
-            _emit_frontier_gauges(stats)
-            return reports
-
-    def _explore(self, max_states: int, reduce: bool):
-        from repro.verify.explorer import _explore_table
-
-        if max_states < 1:
-            raise VerificationError("max_states must be positive")
-        start = time.perf_counter()
-        n = len(self.systems)
-        reports: List[Optional[object]] = [None] * n
-
-        # Members the union sweep cannot answer exactly at this budget.
-        warm_states = self._warm_states
-        if self._slow or any(max_states < warm_states[i] for i in self._fast):
-            exact = set(self._slow)
-            for i in self._fast:
-                if max_states < warm_states[i]:
-                    exact.add(i)
-            if reduce:
-                share = {}
-                for members in self._classes.values():
-                    usable = tuple(i for i in members if i not in exact)
-                    if usable:
-                        share[usable[0]] = usable
-            else:
-                share = {
-                    i: (i,) for i in self._fast if i not in exact
-                }
-        else:
-            share = self._share_reduced if reduce else self._share_identity
-        seeds = list(share)
-
-        swept = sum(len(members) for members in share.values())
-        depth = 0
-        width = 0
-        total_states = 0
-
-        if seeds:
-            get = self._succ_union.__getitem__
-            who = self._member_of.__getitem__
-            inits = [self._inits[i] for i in seeds]
-            visited = set(inits)
-            frontier = visited
-            peaks = dict.fromkeys(seeds, 1)
-            while frontier:
-                level_width = len(frontier)
-                if level_width > width:
-                    width = level_width
-                new = set().union(*map(get, frontier))
-                new.difference_update(visited)
-                if not new:
-                    break
-                depth += 1
-                # Peaks are per member; most levels are width-1 per
-                # member, in which case the Counter merge is skipped.
-                present = set(map(who, new))
-                if len(present) != len(new):
-                    for i, member_width in Counter(map(who, new)).items():
-                        if member_width > peaks[i]:
-                            peaks[i] = member_width
-                visited.update(new)
-                frontier = new
-            states = Counter(map(who, visited))
-            completed = set(map(who, self._complete_gids & visited))
-            total_states = len(visited)
-            elapsed = time.perf_counter() - start
-            throughput = total_states / elapsed if elapsed > 0 else 0.0
-            for representative, members in share.items():
-                count = states[representative]
-                report = _fast_report(
-                    states=count,
-                    all_safe=True,
-                    violation_path=None,
-                    completion_reachable=representative in completed,
-                    truncated=False,
-                    # Untruncated BFS expands every state exactly once.
-                    expanded_states=count,
-                    peak_frontier=peaks[representative],
-                    elapsed_seconds=elapsed,
-                    states_per_second=throughput,
-                )
-                for member in members:
-                    reports[member] = report
-
-        # Exact per-member path: unsafe / truncated-at-warm-up members,
-        # and fast members whose per-call budget undercuts their space.
-        for i in range(n):
-            if reports[i] is None:
-                reports[i] = _explore_table(
-                    self.systems[i],
-                    max_states,
-                    self.include_drops,
-                    True,
-                    self.tables[i],
-                )
-
-        reduction_ratio = (swept / len(seeds)) if seeds else 1.0
-        self.last_stats = {
-            "depth": depth,
-            "width": width,
-            "states": total_states,
-            "reduction_ratio": reduction_ratio,
-            "swept_members": swept,
-            "representatives": len(seeds),
-            "exact_members": n - swept,
-            "elapsed_seconds": time.perf_counter() - start,
-        }
-        return tuple(reports)
-
-
-def explore_family_batched(
-    systems: Sequence[System],
-    max_states: int = 1_000_000,
-    include_drops: bool = True,
-    reduce: bool = False,
-    tables: Optional[Sequence[CompiledSystem]] = None,
-):
-    """One-shot :class:`FrontierFamily` sweep (build + explore).
-
-    For repeated sweeps over the same family (benchmarks, campaign
-    inner loops) build the :class:`FrontierFamily` once and call
-    :meth:`~FrontierFamily.explore` per iteration -- construction pays
-    the warm-up that the per-call speedup then amortizes away.
-    """
-    family = FrontierFamily(
-        systems,
-        include_drops=include_drops,
-        tables=tables,
-        max_states=max_states,
-    )
-    return family.explore(max_states=max_states, reduce=reduce)

@@ -12,9 +12,8 @@ default) every helper is a single flag test --
 * :func:`add` / :func:`observe` / :func:`gauge_set` return immediately,
 
 -- so instrumentation stays in the code permanently at <2% overhead on
-the hottest compiled-kernel paths (asserted by
-:func:`repro.analysis.perfreport.measure_obs_overhead` and the
-``obs:overhead-disabled`` record of ``BENCH_PR10.json``).
+the hottest compiled-kernel paths (asserted in tier-1 by
+``tests/obs/test_overhead.py``).
 
 Enable with :func:`enable`, the ``--profile spans`` CLI flag, or the
 ``STP_REPRO_OBS=1`` environment variable.  :func:`scoped` swaps in fresh

@@ -1,7 +1,7 @@
 """Opt-in profiling hooks for the CLI paths (``--profile``).
 
-Two modes, selected by ``--profile`` on ``stp-repro bench`` /
-``chaos`` / ``run``:
+Two modes, selected by ``--profile`` on ``stp-repro run`` /
+``chaos`` / ``stabilize``:
 
 * ``spans`` -- turn the observability switch on for the wrapped block,
   then print the span and metrics tables; ``--trace-out FILE`` addition-

@@ -4,10 +4,8 @@ A matrix of small fault-injection campaigns -- every protocol family in
 the repository crossed with the fault vocabulary of
 :mod:`repro.adversaries.fault` -- each executed under the self-healing
 :class:`~repro.resilience.runner.ResilientRunner` and summarized as one
-:class:`~repro.analysis.perfreport.PerfRecord`.  The report reuses the
-``repro-perf/1`` schema of the perf artifact (``BENCH_PR10.json``) but is written to its own
-artifact, ``BENCH_PR2.json``, so the resilience trajectory diffs
-independently of the raw perf trajectory.
+:class:`~repro.analysis.perfreport.PerfRecord`.  The report is written
+in the ``repro-perf/1`` schema to its own artifact, ``BENCH_PR2.json``.
 
 Records:
 

@@ -54,8 +54,7 @@ The pipeline, end to end:
 :func:`repro.kernel.frontier.stabilization_state_key` (input-pinned
 data-item renaming over the full domain), explores one representative
 per class, and expands each representative's verdict to its whole class
--- bit-identical per-source verdicts at a fraction of the graph, which
-is the symmetry-reduction payoff ``BENCH_PR10.json`` records.
+-- bit-identical per-source verdicts at a fraction of the graph.
 
 **Sharding.**  Per-source verdicts depend only on the subgraph
 reachable from that source: a path out of a source never leaves its

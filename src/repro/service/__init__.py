@@ -22,8 +22,7 @@ The pieces, importable a la carte:
 * :mod:`repro.service.pool` -- the bounded worker pool + job ledger;
 * :mod:`repro.service.server` -- :class:`VerificationService`,
   :class:`ServiceThread`, and the ``stp-repro serve`` coroutine;
-* :mod:`repro.service.client` -- the blocking client and the
-  :func:`run_load` generator behind the ``service:throughput`` record.
+* :mod:`repro.service.client` -- the blocking client.
 
 Attribute access is lazy (PEP 562), matching :mod:`repro.fabric`: the
 protocol module is import-light, but the server pulls in the cache and
@@ -64,8 +63,6 @@ _EXPORTS: Dict[str, str] = {
     "serve": "repro.service.server",
     # client
     "ServiceClient": "repro.service.client",
-    "LoadResult": "repro.service.client",
-    "run_load": "repro.service.client",
     "wait_until_ready": "repro.service.client",
 }
 

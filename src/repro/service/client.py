@@ -1,9 +1,7 @@
 """A blocking client for the verification service.
 
-Deliberately synchronous: the CLI's ``stp-repro request``, the CI smoke
-gate's shell loops, and the load generator all want a plain
-call-and-wait interface, and a thread per concurrent request is cheap at
-service scale.  The client speaks exactly one round of the
+Deliberately synchronous: the CLI's ``stp-repro request`` and the CI
+smoke gate's shell loops both want a plain call-and-wait interface.  The client speaks exactly one round of the
 ``stp-service/1`` protocol per call: send a request line, read response
 lines until a terminal ``result`` / ``error`` arrives, surface progress
 events through an optional callback.
@@ -13,9 +11,7 @@ from __future__ import annotations
 
 import socket
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.service import protocol
 from repro.service.protocol import MAX_LINE_BYTES, BadRequest, ServiceError
@@ -130,60 +126,3 @@ def wait_until_ready(
             pass
         time.sleep(interval)
     return False
-
-
-@dataclass
-class LoadResult:
-    """What one load-generation batch measured.
-
-    Attributes:
-        elapsed_seconds: wall time for the whole batch.
-        responses: terminal messages, in request order.
-        requests_per_second: batch size / elapsed.
-    """
-
-    elapsed_seconds: float
-    responses: Tuple[Dict[str, object], ...]
-
-    @property
-    def requests_per_second(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return float("inf")
-        return len(self.responses) / self.elapsed_seconds
-
-    @property
-    def ok(self) -> bool:
-        return all(
-            message.get("type") == "result" for message in self.responses
-        )
-
-
-def run_load(
-    host: str,
-    port: int,
-    requests: Sequence[Tuple[str, Dict[str, object]]],
-    concurrency: int = 4,
-    timeout: float = 300.0,
-) -> LoadResult:
-    """Fire ``requests`` (kind, params pairs) concurrently; measure.
-
-    Each request gets its own connection and thread -- the point is to
-    exercise the server's coalescing and admission paths the way real
-    concurrent clients would, and to clock cold-vs-warm throughput for
-    the ``service:throughput`` benchmark record.
-    """
-
-    def one(index: int) -> Dict[str, object]:
-        kind, params = requests[index]
-        with ServiceClient(host, port, timeout=timeout) as client:
-            return client.call(kind, params, request_id=f"load-{index}")
-
-    start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        responses: List[Dict[str, object]] = list(
-            pool.map(one, range(len(requests)))
-        )
-    elapsed = time.perf_counter() - start
-    return LoadResult(
-        elapsed_seconds=elapsed, responses=tuple(responses)
-    )

@@ -25,13 +25,10 @@ from repro.verify.liveness import check_liveness, LivenessVerdict
 from repro.verify.explorer import explore, explore_compiled, ExplorationReport
 from repro.kernel.frontier import (
     FRONTIER_SCHEMA,
-    FrontierFamily,
     FrontierSnapshot,
-    canonical_input_signature,
     canonical_state_key,
     explore_batched,
     explore_batched_resumable,
-    explore_family_batched,
     explore_multi_source_batched,
     stabilization_state_key,
 )
@@ -57,13 +54,10 @@ __all__ = [
     "explore_compiled",
     "ExplorationReport",
     "FRONTIER_SCHEMA",
-    "FrontierFamily",
     "FrontierSnapshot",
-    "canonical_input_signature",
     "canonical_state_key",
     "explore_batched",
     "explore_batched_resumable",
-    "explore_family_batched",
     "explore_multi_source_batched",
     "stabilization_state_key",
     "assert_outage_recoverable",

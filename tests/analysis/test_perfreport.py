@@ -4,15 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.perfreport import (
-    BENCH_FILENAME,
-    BENCH_SCHEMA,
-    PerfRecord,
-    PerfReport,
-    build_f5_campaign,
-    measure_campaign_speedup,
-    measure_explorer,
-)
+from repro.analysis.perfreport import BENCH_SCHEMA, PerfRecord, PerfReport
 
 
 class TestPerfReport:
@@ -22,13 +14,6 @@ class TestPerfReport:
         assert isinstance(record, PerfRecord)
         assert report.records == [record]
         assert record.extra == {"grid": "3x2"}
-
-    def test_measure_times_and_returns_result(self):
-        report = PerfReport()
-        assert report.measure("unit", lambda x: x + 1, 41) == 42
-        assert len(report.records) == 1
-        assert report.records[0].name == "unit"
-        assert report.records[0].wall_seconds >= 0.0
 
     def test_to_dict_schema(self):
         report = PerfReport(label="test")
@@ -44,7 +29,7 @@ class TestPerfReport:
     def test_write_round_trips_as_json(self, tmp_path):
         report = PerfReport()
         report.add("experiment:T1", 0.25, runs=4)
-        path = report.write(tmp_path / BENCH_FILENAME)
+        path = report.write(tmp_path / "perf.json")
         loaded = json.loads(path.read_text())
         assert loaded["schema"] == BENCH_SCHEMA
         assert loaded["records"][0]["wall_seconds"] == 0.25
@@ -57,30 +42,3 @@ class TestPerfReport:
         assert "experiment:T1" in rendered
         assert "explore:t2" in rendered
         assert "states/s=" in rendered
-
-
-class TestMeasurements:
-    def test_measure_explorer_records_throughput(self):
-        report = PerfReport()
-        measure_explorer(report)
-        (record,) = report.records
-        assert record.name == "explore:t2-dup-abc"
-        assert record.states > 0
-        assert record.states_per_second > 0
-        assert record.extra["peak_frontier"] >= 1
-
-    def test_campaign_speedup_outcomes_identical(self):
-        report = PerfReport()
-        comparison = measure_campaign_speedup(
-            report, workers=2, length=5, seeds=1, seed=3
-        )
-        assert comparison["outcomes_identical"] is True
-        names = [record.name for record in report.records]
-        assert names == ["campaign:f5-serial", "campaign:f5-parallel"]
-        assert report.records[1].extra["workers"] == 2
-
-    def test_build_f5_campaign_grid_shape(self):
-        campaign = build_f5_campaign(length=6, seeds=2, workers=1)
-        assert len(campaign.inputs) == 3  # prefix lengths 4, 5, 6
-        assert campaign.seeds == 2
-        assert all(len(set(sequence)) == len(sequence) for sequence in campaign.inputs)

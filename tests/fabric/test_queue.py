@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -299,3 +300,25 @@ class TestWorkerIdAndPlumbing:
         payload = json.loads(path.read_text())
         assert payload["cell_id"] == "cell-1"
         assert [p for p in queue.root.rglob("*.tmp")] == []
+
+    def test_temp_names_differ_when_pid_and_clock_collide(
+        self, tmp_path, monkeypatch
+    ):
+        """Two hosts on one shared filesystem can share a pid and a
+        ``monotonic_ns`` reading; their temporary files must not."""
+        temporaries = []
+        real_replace = os.replace
+
+        def recording_replace(source, target):
+            temporaries.append(Path(source).name)
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "getpid", lambda: 4242)
+        monkeypatch.setattr(time, "monotonic_ns", lambda: 7)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        target = tmp_path / "ticket.json"
+        WorkQueue._write_json(target, {"attempt": 1})
+        WorkQueue._write_json(target, {"attempt": 2})
+        assert len(temporaries) == 2
+        assert temporaries[0] != temporaries[1]
+        assert json.loads(target.read_text()) == {"attempt": 2}

@@ -22,14 +22,6 @@ SOURCE = ROOT / "src" / "repro"
 DOC = ROOT / "docs" / "observability.md"
 EMITTERS = {"span", "add", "observe", "gauge_set"}
 
-#: Emitted names that need no row, and why.
-EXEMPT = {
-    "probe": (
-        "measure_obs_overhead times the disabled call path with it; "
-        "collection is off there, so nothing is ever recorded"
-    ),
-}
-
 
 def _emitted() -> Dict[str, List[str]]:
     """Name -> call sites; f-strings render each placeholder as ``{}``."""
@@ -106,13 +98,8 @@ def test_every_emitted_name_is_documented():
     undocumented = [
         f"{name} ({sites[0]})"
         for name, sites in sorted(_emitted().items())
-        if name not in EXEMPT and not _covered(name, exact, wildcards)
+        if not _covered(name, exact, wildcards)
     ]
     assert not undocumented, (
         f"docs/observability.md has no row for {undocumented}"
     )
-
-
-def test_exemptions_are_still_emitted():
-    emitted = _emitted()
-    assert not [name for name in EXEMPT if name not in emitted]

@@ -18,14 +18,48 @@ import os
 import pytest
 
 from repro import obs
+from repro.adversaries import AgingFairAdversary, RandomAdversary
 from repro.analysis.campaign import Campaign
-from repro.analysis.perfreport import build_f5_campaign
+from repro.channels import DuplicatingChannel
 from repro.kernel.rng import DeterministicRNG
+from repro.protocols.norepeat import norepeat_protocol
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="fork start method unavailable",
 )
+
+
+def build_f5_campaign(length: int = 12, seeds: int = 4, workers: int = 1):
+    """The F5-style throughput workload as a campaign grid.
+
+    The handshake (no-repetition) protocol over ``length`` distinct items
+    -- F5's pipelining baseline input -- swept over every prefix length
+    from 4 to ``length`` under the fair random adversary.  The grid gives
+    a parallel sweep enough independent runs to shard.
+    """
+    domain = tuple(f"d{index}" for index in range(length))
+    sender, receiver = norepeat_protocol(domain)
+    inputs = [domain[:cut] for cut in range(4, length + 1)]
+    return Campaign(
+        sender=sender,
+        receiver=receiver,
+        channel_factory=DuplicatingChannel,
+        inputs=inputs,
+        adversary_factory=lambda rng: AgingFairAdversary(
+            RandomAdversary(rng, deliver_weight=3.0), patience=64
+        ),
+        seeds=seeds,
+        max_steps=50_000,
+        workers=workers,
+    )
+
+
+def test_build_f5_campaign_grid_shape():
+    campaign = build_f5_campaign(length=6, seeds=2, workers=1)
+    assert len(campaign.inputs) == 3  # prefix lengths 4, 5, 6
+    assert campaign.seeds == 2
+    assert all(len(set(sequence)) == len(sequence) for sequence in campaign.inputs)
 
 
 @pytest.fixture
