@@ -40,8 +40,6 @@ REQUIRED = {
 #: Gauges a stabilize artifact must carry (``--require-stabilization``).
 STABILIZATION_REQUIRED = {
     "recovery.stabilization_sources": "gauge",
-    "recovery.stabilization_classes": "gauge",
-    "recovery.stabilization_reduction_ratio": "gauge",
     "recovery.stabilization_non_stabilizing": "gauge",
     "recovery.stabilization_max_depth": "gauge",
 }

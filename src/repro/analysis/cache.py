@@ -199,7 +199,6 @@ def explore_report_key(
     system,
     max_states: int = 1_000_000,
     include_drops: bool = True,
-    reduce: bool = False,
 ) -> str:
     """The cache key of an exhaustive-exploration report.
 
@@ -207,14 +206,13 @@ def explore_report_key(
     :func:`cached_explore`'s warm probe and the service coalescer
     (:mod:`repro.service`) key through here, so a request fingerprinted
     by one layer always finds work the other layer started or finished.
-    ``engine`` is deliberately absent -- unreduced reports are
-    bit-identical across both engines, so they share one address.
-    Reduced reports count equivalence classes instead of states and
-    therefore get a distinct key.
+    ``engine`` is deliberately absent -- reports are bit-identical across
+    both engines, so they share one address.
     """
-    base = system_fingerprint(system)
-    if reduce:
-        return fingerprint("explore", base, max_states, include_drops, "reduced")
+    return _explore_key(system_fingerprint(system), max_states, include_drops)
+
+
+def _explore_key(base: str, max_states: int, include_drops: bool) -> str:
     return fingerprint("explore", base, max_states, include_drops)
 
 
@@ -226,7 +224,6 @@ def stabilize_report_key(
     channel_depth=None,
     sample=None,
     seed: int = 0,
-    reduce: bool = False,
     domain=None,
 ) -> str:
     """The cache key of a corrupted-start stabilization result.
@@ -247,7 +244,6 @@ def stabilize_report_key(
         channel_depth,
         sample,
         seed,
-        bool(reduce),
         tuple(domain) if domain is not None else None,
     )
 
@@ -256,8 +252,8 @@ def stabilize_shard_key(report_key: str, shard_index: int, shard_count: int) -> 
     """The cache key of one corrupted-start shard of a stabilization run.
 
     A stabilize sweep cell computes the verdicts for one partition of
-    the symmetry-reduced corrupt-set classes (see
-    :func:`repro.resilience.stabilize.shard_of_class`) and stores them
+    the corrupt set's sources (see
+    :func:`repro.resilience.stabilize.shard_of_source`) and stores them
     under this key; the merge step reassembles the shards into the
     single-host :class:`StabilizationResult` and publishes it under the
     plain ``"stabilize"`` / :func:`stabilize_report_key` address -- so a
@@ -408,7 +404,6 @@ def cached_explore(
     cache: Optional[ResultCache] = None,
     reuse_table: bool = True,
     engine: str = "scalar",
-    reduce: bool = False,
     table=None,
 ):
     """Exhaustive exploration behind the cache, on any engine.
@@ -423,117 +418,42 @@ def cached_explore(
     Args:
         engine: ``"scalar"`` for
             :func:`~repro.verify.explorer.explore_compiled`, ``"batched"``
-            for :func:`~repro.kernel.frontier.explore_batched`.
-            Unreduced reports are bit-identical across both, so they
-            share one report key: a sweep run on either engine warms the
-            cache for the other.
-        reduce: quotient symmetric states (batched engine only).  Reduced
-            reports count equivalence classes, not states, so the mode is
-            folded into the report fingerprint -- reduced and unreduced
-            results never alias.
+            for :func:`~repro.kernel.frontier.explore_batched`.  Reports
+            are bit-identical across both, so they share one report key:
+            a sweep run on either engine warms the cache for the other.
         table: an already-revived :class:`CompiledSystem` for ``system``
             (fabric workers keep one per distinct system in a
             :class:`CompiledTableCache`); skips the store revival probe.
-            Ignored when a resumable frontier cut is found, since the
-            snapshot embeds its own warm table.
-
-    The unreduced batched engine additionally keeps a
-    :class:`~repro.kernel.frontier.FrontierSnapshot` per (system,
-    ``include_drops``) point -- budget-independent, with its digest
-    lineage embedded and verified on load.  A stored cut resumes a larger
-    ``max_states`` request from the old frontier instead of re-exploring
-    from the initial state, which is what lets campaign sweeps over
-    adjacent budget points reuse each other's work.
 
     With ``cache=None`` this is exactly the chosen engine, uncached.
     """
     from repro.kernel.compiled import CompiledSystem
-    from repro.kernel.frontier import (
-        FrontierSnapshot,
-        explore_batched,
-        explore_batched_resumable,
-    )
+    from repro.kernel.frontier import explore_batched
     from repro.verify.explorer import explore_compiled
 
     if engine not in ENGINES:
         raise ValueError(f"unknown explorer engine: {engine!r}")
-    if reduce and engine != "batched":
-        raise ValueError("reduce=True requires engine='batched'")
+    explore_fn = explore_compiled if engine == "scalar" else explore_batched
     if cache is None:
-        if engine == "scalar":
-            return explore_compiled(
-                system, max_states=max_states, include_drops=include_drops
-            )
-        return explore_batched(
-            system,
-            max_states=max_states,
-            include_drops=include_drops,
-            reduce=reduce,
+        return explore_fn(
+            system, max_states=max_states, include_drops=include_drops
         )
     base = system_fingerprint(system)
-    report_key = explore_report_key(
-        system,
-        max_states=max_states,
-        include_drops=include_drops,
-        reduce=reduce,
-    )
+    report_key = _explore_key(base, max_states, include_drops)
     report = cache.get("explore", report_key)
     if report is not None:
-        return report
-
-    if engine == "batched" and not reduce:
-        # Try to resume a stored frontier cut before reviving a table:
-        # the snapshot embeds its own (warm) table.
-        frontier_key = fingerprint("frontier", base, include_drops)
-        stored = cache.get("frontier", frontier_key)
-        resume = None
-        if (
-            isinstance(stored, FrontierSnapshot)
-            and stored.verify()
-            and stored.fingerprint == base
-            and stored.include_drops == include_drops
-            and max_states >= stored.expanded
-        ):
-            resume = stored
-        if resume is not None:
-            table = None  # the snapshot carries its own warm table
-        elif table is None and reuse_table:
-            table = _revive_table(cache, system, base)
-        report, snapshot = explore_batched_resumable(
-            system,
-            max_states=max_states,
-            include_drops=include_drops,
-            compiled=table,
-            resume_from=resume,
-            fingerprint=base,
-        )
-        cache.put("explore", report_key, report)
-        if snapshot is not None:
-            cache.put("frontier", frontier_key, snapshot)
-        if table is not None and reuse_table:
-            cache.put(COMPILED_KIND, base, table.snapshot())
         return report
 
     if table is None and reuse_table:
         table = _revive_table(cache, system, base)
     if table is None:
         table = CompiledSystem(system)
-    if engine == "batched":
-        report = explore_batched(
-            system,
-            max_states=max_states,
-            include_drops=include_drops,
-            compiled=table,
-            reduce=True,
-        )
-    else:
-        report = explore_compiled(
-            system,
-            max_states=max_states,
-            include_drops=include_drops,
-            compiled=table,
-            store_parents=True,
-        )
+    report = explore_fn(
+        system,
+        max_states=max_states,
+        include_drops=include_drops,
+        compiled=table,
+    )
     cache.put("explore", report_key, report)
     if reuse_table:
         cache.put(COMPILED_KIND, base, table.snapshot())
@@ -544,7 +464,6 @@ def cached_stabilize(
     system,
     cache: Optional[ResultCache] = None,
     engine: str = "batched",
-    reduce: bool = False,
     sample: Optional[int] = None,
     seed: int = 0,
     max_states: int = 500_000,
@@ -557,13 +476,14 @@ def cached_stabilize(
 
     The report key fingerprints everything the corrupt initial set and
     its per-source verdicts depend on: the system, the exploration
-    budget, the corruption mode, the channel forge depth, the sampling
-    identity, the reduction mode, and the symmetry domain.  ``engine``
-    is deliberately *not* part of the key -- multi-source verdicts are
-    bit-identical across engines (property-swept by
-    ``tests/resilience/test_stabilize.py``), so a sweep run on either
-    engine warms the cache for the other; on a hit the stored result is
-    re-stamped with the requested engine label.  The stored
+    budget, the corruption mode, the channel forge depth and the
+    sampling identity; ``domain`` enters the key as the caller names
+    it.  ``engine`` is deliberately *not* part of the key --
+    multi-source verdicts are bit-identical across engines
+    (property-swept by ``tests/resilience/test_stabilize.py``), so a
+    sweep run on either engine warms the cache for the other; on a hit
+    the stored result is re-stamped with the requested engine label.
+    The stored
     :class:`~repro.resilience.stabilize.StabilizationResult` carries the
     ``corrupt_fingerprint`` of the set it judged, so report consumers
     can cross-check which corrupt enumeration a cached verdict sheet
@@ -580,7 +500,6 @@ def cached_stabilize(
         return analyze_stabilization(
             system,
             engine=engine,
-            reduce=reduce,
             sample=sample,
             seed=seed,
             max_states=max_states,
@@ -600,7 +519,6 @@ def cached_stabilize(
         channel_depth=channel_depth,
         sample=sample,
         seed=seed,
-        reduce=reduce,
         domain=domain,
     )
     result = cache.get("stabilize", key)

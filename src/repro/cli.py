@@ -17,8 +17,7 @@ Subcommands:
 * ``report`` -- regenerate EXPERIMENTS.md;
 * ``explore`` -- exhaustively explore one protocol/channel/input system
   and print its report; ``--engine batched`` uses the level-synchronous
-  frontier engine (bit-identical unreduced), ``--reduce`` quotients
-  symmetric states (verdict-preserving);
+  frontier engine (bit-identical reports);
 * ``cache`` -- inspect and manage the content-addressed result cache:
   ``cache stats`` (on-disk shape, ``--json`` for machine form),
   ``cache clear`` (wipe), ``cache prune --max-size N`` (evict oldest
@@ -41,10 +40,10 @@ Subcommands:
   initial configurations of each protocol x channel pair (scrambled
   local states, forged bounded channel contents), multi-source-BFS from
   all of them, and report per-source stabilization verdicts and depths;
-  ``--engine``/``--reduce`` select the frontier engine (verdicts are
-  bit-identical across both engines), ``--sample N --seed
-  S`` analyzes a seeded subsample, ``--out`` writes a perf artifact with
-  the ``recovery.stabilization_*`` gauges attached;
+  ``--engine`` selects the frontier engine (verdicts are bit-identical
+  across both engines), ``--sample N --seed S`` analyzes a seeded
+  subsample, ``--out`` writes a perf artifact with the
+  ``recovery.stabilization_*`` gauges attached;
 * ``serve`` -- run the verification service: an asyncio front-end
   speaking newline-delimited JSON (schema ``stp-service/1``) that
   answers warm requests from the result cache, coalesces identical
@@ -135,15 +134,6 @@ def _add_engine_arguments(parser) -> None:
             "compiled table (identical reports, faster)"
         ),
     )
-    parser.add_argument(
-        "--reduce",
-        action="store_true",
-        help=(
-            "quotient symmetric states (data-item renaming) in the "
-            "batched engine; verdicts are unchanged, state counts become "
-            "equivalence-class counts"
-        ),
-    )
 
 
 def _cmd_run(args) -> int:
@@ -163,7 +153,6 @@ def _run_experiments(args) -> int:
             quick=args.quick,
             workers=args.workers,
             engine=getattr(args, "engine", "scalar"),
-            reduce=getattr(args, "reduce", False),
         )
         print(result.rendered)
         if result.notes:
@@ -353,14 +342,12 @@ def _cmd_explore(args) -> int:
             include_drops=not args.no_drops,
             cache=cache,
             engine=args.engine,
-            reduce=args.reduce,
         )
     except (KernelError, ValueError) as error:
         print(f"cannot explore this system: {error}", file=sys.stderr)
         return 2
-    kind = "classes" if args.reduce else "states"
-    print(f"engine:     {args.engine}" + (" (reduced)" if args.reduce else ""))
-    print(f"{kind}:     {report.states}")
+    print(f"engine:     {args.engine}")
+    print(f"states:     {report.states}")
     print(f"expanded:   {report.expanded_states}")
     print(f"peak layer: {report.peak_frontier}")
     print(f"safe:       {report.all_safe}   completion reachable: "
@@ -435,7 +422,6 @@ def _run_stabilize(args) -> int:
                     system,
                     cache=cache,
                     engine=args.engine,
-                    reduce=args.reduce,
                     sample=args.sample,
                     seed=args.seed,
                     max_states=args.max_states,
@@ -454,12 +440,8 @@ def _run_stabilize(args) -> int:
             )
             print(f"{name}: {verdict}")
             print(
-                f"  corrupt sources: {result.sources}  classes: "
-                f"{result.classes}  reduction ratio: "
-                f"{result.reduction_ratio:.3f}"
-            )
-            print(
-                f"  legitimate states: {result.legitimate_states}  "
+                f"  corrupt sources: {result.sources}  "
+                f"legitimate states: {result.legitimate_states}  "
                 f"explored: {result.explored_states}  "
                 f"fingerprint: {result.corrupt_fingerprint}"
             )
@@ -942,16 +924,13 @@ def _service_port(args) -> int:
 
 def _request_params(args) -> dict:
     if args.kind == "explore":
-        params = {
+        return {
             "protocol": args.protocol,
             "channel": args.channel,
             "input": args.input,
             "max_states": args.max_states,
             "engine": args.engine,
         }
-        if args.reduce:
-            params["reduce"] = True
-        return params
     if args.kind == "stabilize":
         params = {
             "protocol": args.protocol,
@@ -1428,8 +1407,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="ITEMS",
         help=(
             "extra data letters beyond the input (comma-separated); "
-            "letters the input never uses are what the symmetry "
-            "reduction collapses"
+            "they widen the message alphabet the forged channel "
+            "contents are drawn from"
         ),
     )
     stabilize_parser.add_argument(
@@ -1598,7 +1577,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     request_parser.add_argument(
         "--engine", choices=ENGINES, default="scalar",
     )
-    request_parser.add_argument("--reduce", action="store_true")
     request_parser.add_argument(
         "--spec",
         default=None,

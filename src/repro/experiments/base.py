@@ -93,18 +93,17 @@ def run_experiment(
     workers: int = 1,
     cache=None,
     engine: str = "scalar",
-    reduce: bool = False,
 ) -> ExperimentResult:
     """Run one experiment by id.
 
     ``workers`` requests process-parallel campaign sweeps and ``cache`` (a
     :class:`repro.analysis.cache.ResultCache`) memoizes exploration and
-    campaign results by content; ``engine`` / ``reduce`` pick the
+    campaign results by content; ``engine`` picks the
     exhaustive-exploration engine for experiments with exhaustive columns
     (see :func:`repro.analysis.cache.cached_explore`).  Each option is
-    forwarded to experiments whose entry point accepts it (unreduced
-    results are identical either way) and silently ignored by experiments
-    that have nothing to shard, memoize, or explore.
+    forwarded to experiments whose entry point accepts it (results are
+    identical either way) and silently ignored by experiments that have
+    nothing to shard, memoize, or explore.
     """
     module_name = _MODULES.get(experiment_id.upper())
     if module_name is None:
@@ -120,6 +119,4 @@ def run_experiment(
         kwargs["cache"] = cache
     if engine != "scalar" and "engine" in parameters:
         kwargs["engine"] = engine
-    if reduce and "reduce" in parameters:
-        kwargs["reduce"] = reduce
     return module.run(**kwargs)

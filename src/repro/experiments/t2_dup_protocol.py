@@ -66,16 +66,15 @@ def run(
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     engine: str = "scalar",
-    reduce: bool = False,
 ) -> ExperimentResult:
     """Build Table 2.
 
     ``workers`` shards the randomized campaigns over processes; ``cache``
     memoizes campaign runs and exhaustive explorations by content;
-    ``engine`` / ``reduce`` pick the exhaustive-exploration engine (the
-    batched frontier engine is bit-identical unreduced; reduction keeps
-    the verdicts and counts equivalence classes).  The table is identical
-    at any worker count, with or without the cache, on either engine.
+    ``engine`` picks the exhaustive-exploration engine (the batched
+    frontier engine is bit-identical to the scalar one).  The table is
+    identical at any worker count, with or without the cache, on either
+    engine.
     """
     rng = DeterministicRNG(seed, "t2")
     sizes = (1, 2) if quick else (1, 2, 3, 4)
@@ -142,7 +141,6 @@ def run(
                     max_states=500_000,
                     cache=cache,
                     engine=engine,
-                    reduce=reduce,
                 )
                 total_states += report.states
                 all_safe = (

@@ -51,14 +51,12 @@ def run(
     quick: bool = False,
     cache: Optional[ResultCache] = None,
     engine: str = "scalar",
-    reduce: bool = False,
 ) -> ExperimentResult:
     """Build Table 4.
 
     ``cache`` memoizes the exhaustive explorations by content, and
-    ``engine`` / ``reduce`` pick the exhaustive-exploration engine; the
-    table is identical with or without the cache, on either engine
-    (unreduced).
+    ``engine`` picks the exhaustive-exploration engine; the table is
+    identical with or without the cache, on either engine.
     """
     rng = DeterministicRNG(seed, "t4")
     sizes = (1, 2) if quick else (1, 2, 3)
@@ -107,7 +105,6 @@ def run(
                     include_drops=True,
                     cache=cache,
                     engine=engine,
-                    reduce=reduce,
                 )
                 total += report.states
                 all_safe = (

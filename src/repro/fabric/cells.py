@@ -165,29 +165,23 @@ def _execute_explore(
         system,
         max_states=cell.max_states,
         include_drops=cell.include_drops,
-        reduce=cell.reduce,
     )
     _check(
         report_key == cell.result_key == cell.cell_id,
         f"explore cell {cell.cell_id[:12]} does not match its parameters",
     )
-    base = system_fingerprint(system)
-    table = tables.table_for(system, base)
+    table = tables.table_for(system)
     if heartbeat is not None:
         heartbeat()
+    # Stores the report and, once, the grown table's snapshot.
     cached_explore(
         system,
         max_states=cell.max_states,
         include_drops=cell.include_drops,
         cache=cache,
         engine="batched",
-        reduce=cell.reduce,
         table=table,
     )
-    # cached_explore publishes the snapshot itself on the paths that
-    # used the table; publish explicitly so the resume path (which
-    # ignores the handed-in table) still shares the compile.
-    tables.publish(base, table)
 
 
 def _execute_stabilize(
@@ -216,7 +210,6 @@ def _execute_stabilize(
         channel_depth=cell.channel_depth,
         sample=cell.sample,
         seed=cell.seed,
-        reduce=cell.reduce,
         domain=cell.domain,
     )
     _check(
@@ -239,14 +232,12 @@ def _execute_stabilize(
         system,
         cell.shard_index,
         cell.shard_count,
-        reduce=cell.reduce,
         sample=cell.sample,
         seed=cell.seed,
         max_states=cell.max_states,
         channel_depth=cell.channel_depth,
         include_drops=cell.include_drops,
         corruption=cell.corruption,
-        domain=cell.domain,
         table=table,
         heartbeat=heartbeat,
     )

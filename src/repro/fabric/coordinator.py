@@ -336,7 +336,6 @@ def serial_sweep(spec: SweepSpec, cache: ResultCache) -> Dict[str, object]:
                 include_drops=spec.include_drops,
                 cache=cache,
                 engine="batched",
-                reduce=spec.reduce,
             )
         else:
             domain = spec.member_domain(items)
@@ -347,7 +346,6 @@ def serial_sweep(spec: SweepSpec, cache: ResultCache) -> Dict[str, object]:
                 system,
                 cache=cache,
                 engine="batched",
-                reduce=spec.reduce,
                 sample=spec.sample,
                 seed=spec.seed,
                 max_states=spec.max_states,

@@ -223,14 +223,17 @@ class WorkQueue:
         if not pending.is_dir():
             return None
         if cell_id is not None:
-            candidates = [self._ticket_path("pending", cell_id)]
+            names = [f"{cell_id}.json"]
         else:
-            candidates = sorted(pending.glob("*.json"))
-        for path in candidates:
-            cell_id = path.stem
+            # Plain names: a Path is built only for the ticket attempted.
+            names = sorted(
+                name for name in os.listdir(pending) if name.endswith(".json")
+            )
+        for name in names:
+            cell_id = name[: -len(".json")]
             leased = self._ticket_path("leased", cell_id)
             try:
-                os.rename(path, leased)
+                os.rename(pending / name, leased)
             except OSError:
                 continue  # lost the race for this ticket; try the next
             try:

@@ -11,8 +11,8 @@ workloads onto the same queue/store machinery:
   - ``"explore"`` -- one cell per member, whose cell id *is* the
     member's :func:`~repro.analysis.cache.explore_report_key`;
   - ``"stabilize"`` -- ``shards`` cells per member, partitioning the
-    symmetry-reduced corrupt-set classes by
-    :func:`~repro.resilience.stabilize.shard_of_class`; each cell id is
+    corrupt set's sources by
+    :func:`~repro.resilience.stabilize.shard_of_source`; each cell id is
     the member's :func:`~repro.analysis.cache.stabilize_shard_key`.
 
 * :func:`plan_sweep` expands the spec into a :class:`SweepPlan` of
@@ -148,7 +148,7 @@ class SweepSpec:
     of each member's result fingerprint.  ``shards`` > 1 splits each
     stabilize member's corrupt set into that many cells (ignored by
     explore sweeps); ``domain`` adds extra data items to each stabilize
-    member's symmetry domain (the member domain is the sorted union of
+    member's data domain (the member domain is the sorted union of
     its input items and these extras, exactly the service's rule).
     """
 
@@ -158,7 +158,6 @@ class SweepSpec:
     inputs: Tuple[Tuple[str, ...], ...]
     max_states: int = 100_000
     include_drops: bool = True
-    reduce: bool = False
     corruption: str = "full"
     channel_depth: Optional[int] = None
     sample: Optional[int] = None
@@ -199,7 +198,7 @@ class SweepSpec:
         return self.member_count * per_member
 
     def member_domain(self, items: Tuple[str, ...]) -> Tuple[str, ...]:
-        """A stabilize member's symmetry domain (service rule, verbatim)."""
+        """A stabilize member's data domain (service rule, verbatim)."""
         return tuple(sorted(set(items) | set(self.domain))) or ("a",)
 
     def members(self):
@@ -217,7 +216,6 @@ class SweepSpec:
             "inputs": [list(items) for items in self.inputs],
             "max_states": self.max_states,
             "include_drops": self.include_drops,
-            "reduce": self.reduce,
             "corruption": self.corruption,
             "channel_depth": self.channel_depth,
             "sample": self.sample,
@@ -266,7 +264,6 @@ class SweepCell:
     shard_count: int = 1
     max_states: int = 100_000
     include_drops: bool = True
-    reduce: bool = False
     corruption: str = "full"
     channel_depth: Optional[int] = None
     sample: Optional[int] = None
@@ -287,7 +284,6 @@ class SweepCell:
             "shard_count": self.shard_count,
             "max_states": self.max_states,
             "include_drops": self.include_drops,
-            "reduce": self.reduce,
             "corruption": self.corruption,
             "channel_depth": self.channel_depth,
             "sample": self.sample,
@@ -394,7 +390,6 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
                 system,
                 max_states=spec.max_states,
                 include_drops=spec.include_drops,
-                reduce=spec.reduce,
             )
             cells.append(
                 SweepCell(
@@ -406,7 +401,6 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
                     result_key=report_key,
                     max_states=spec.max_states,
                     include_drops=spec.include_drops,
-                    reduce=spec.reduce,
                 )
             )
             continue
@@ -422,7 +416,6 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
             channel_depth=spec.channel_depth,
             sample=spec.sample,
             seed=spec.seed,
-            reduce=spec.reduce,
             domain=member_domain,
         )
         for shard_index in range(spec.shards):
@@ -440,7 +433,6 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
                     shard_count=spec.shards,
                     max_states=spec.max_states,
                     include_drops=spec.include_drops,
-                    reduce=spec.reduce,
                     corruption=spec.corruption,
                     channel_depth=spec.channel_depth,
                     sample=spec.sample,

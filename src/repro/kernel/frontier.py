@@ -13,26 +13,15 @@ loops into C:
 
 * :func:`explore_batched` -- a drop-in for ``explore_compiled`` that
   expands each BFS level with one ``set().union(*map(succ_row, ...))``
-  bulk step and one ``difference_update`` against the visited set.  In
-  unreduced mode its report is **bit-identical** to the scalar engine's
-  (timing fields aside); the order-sensitive cases it cannot replicate
-  set-wise -- a Safety violation, or a ``max_states`` budget that runs
-  out in the *middle* of a level -- are delegated wholesale to the scalar
-  search, which recomputes the exact answer over the (now warm) table.
-* **Symmetry reduction** (``reduce=True``) -- quotient states
-  equivalent under a renaming of data items.  Renaming a data item
-  consistently everywhere it occurs cannot change whether the output is
-  a prefix of the input, so Safety/completion *verdicts* are
-  preserved; state counts refer to equivalence classes.  Soundness is not
-  argued here once and for all -- it is property-swept against the
-  unreduced explorer across the full protocol x channel registry by
-  ``tests/verify/test_frontier_equivalence.py``.
-* :class:`FrontierSnapshot` -- a resumable cut of an unreduced batched
-  search (visited set, open frontier, budget spent, table snapshot, and a
-  digest lineage).  Re-entering the loop from a snapshot with a larger
-  budget yields a report bit-identical to a fresh run at that budget;
-  campaign sweeps over adjacent budget points reseed from the prior
-  frontier instead of re-exploring from the initial state.
+  bulk step and one ``difference_update`` against the visited set.  Its
+  report is **bit-identical** to the scalar engine's (timing fields
+  aside); the order-sensitive cases it cannot replicate set-wise -- a
+  Safety violation, or a ``max_states`` budget that runs out in the
+  *middle* of a level -- are delegated wholesale to the scalar search,
+  which recomputes the exact answer over the (now warm) table.
+* :func:`explore_multi_source_batched` -- the same level step seeded
+  with a whole set of corrupt initial states, for stabilization
+  analysis (:mod:`repro.resilience.stabilize`).
 
 Layering note: this module lives in the kernel because it is a traversal
 over :class:`~repro.kernel.compiled.CompiledSystem`, but it *produces*
@@ -45,159 +34,13 @@ here).
 
 from __future__ import annotations
 
-import hashlib
 import time
-from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.kernel.compiled import CompiledSystem
 from repro.kernel.errors import VerificationError
-from repro.kernel.system import Configuration, System
-
-#: Version tag embedded in frontier snapshots; bump on layout changes.
-FRONTIER_SCHEMA = "stp-frontier/1"
-
-
-# ---------------------------------------------------------------------------
-# canonicalization (symmetry reduction)
-# ---------------------------------------------------------------------------
-
-
-class _Placeholder:
-    """An interned rename target: ``_Placeholder(k)`` stands for "the k-th
-    distinct data item encountered".  Identity-hashed sentinels cannot
-    collide with any real protocol token (strings, ints, tuples), which a
-    naive ``f"#{k}"`` string could."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-    def __repr__(self) -> str:  # stable across processes: no address
-        return f"<item#{self.index}>"
-
-
-#: Shared, lazily grown pool so equal indices are the *same* object and
-#: renamed structures hash/compare cheaply.
-_PLACEHOLDERS: List[_Placeholder] = []
-
-
-def _placeholder(index: int) -> _Placeholder:
-    while len(_PLACEHOLDERS) <= index:
-        _PLACEHOLDERS.append(_Placeholder(len(_PLACEHOLDERS)))
-    return _PLACEHOLDERS[index]
-
-
-def _rename(value, mapping: Dict[object, _Placeholder], items: frozenset):
-    """Structurally rename every data item of ``items`` inside ``value``.
-
-    Placeholders are assigned by first occurrence over a deterministic
-    traversal: tuples in order, frozensets in sorted-``repr`` order (so
-    the assignment never depends on per-process set iteration order).
-    """
-    if isinstance(value, tuple):
-        return tuple(_rename(piece, mapping, items) for piece in value)
-    if isinstance(value, frozenset):
-        return frozenset(
-            _rename(piece, mapping, items)
-            for piece in sorted(value, key=repr)
-        )
-    try:
-        if value in items:
-            placeholder = mapping.get(value)
-            if placeholder is None:
-                placeholder = _placeholder(len(mapping))
-                mapping[value] = placeholder
-            return placeholder
-    except TypeError:
-        pass  # unhashable leaf: cannot be a data item
-    return value
-
-
-def canonical_state_key(system: System) -> Callable[[Configuration], Hashable]:
-    """A per-state canonicalization hook for ``explore_batched(reduce=True)``.
-
-    The returned function maps a configuration to its *input-respecting*
-    canonical form: the pair ``(config, input)`` with data items renamed
-    by first occurrence over a deterministic joint traversal (the config
-    first, then the input).  Two configurations share a key iff some
-    bijection on data items maps one to the other **and** fixes the input
-    sequence -- exactly the symmetries that leave the Safety and
-    completion predicates (output vs. input prefix) invariant.
-
-    On the repetition-free inputs this repository sweeps, every data item
-    in a reachable configuration already occurs in the input, so such a
-    bijection is forced to the identity and the within-run quotient is
-    trivial (ratio ~1).  The hook is the seam a protocol with genuinely
-    interchangeable payloads plugs into.
-    """
-    items = frozenset(system.input_sequence)
-    input_sequence = system.input_sequence
-
-    def key(config: Configuration) -> Hashable:
-        mapping: Dict[object, _Placeholder] = {}
-        renamed_config = _rename(tuple(config.__dict__.values())
-                                 if hasattr(config, "__dict__")
-                                 else config, mapping, items)
-        renamed_input = tuple(
-            _rename(item, mapping, items) for item in input_sequence
-        )
-        return (renamed_config, renamed_input)
-
-    return key
-
-
-def stabilization_state_key(
-    system: System, domain: Sequence = ()
-) -> Callable[[Configuration], Hashable]:
-    """Canonicalization hook for *corrupted-start* state sets.
-
-    :func:`canonical_state_key` renames only items of the input sequence,
-    which is the right symmetry group for clean-start exploration -- but
-    corrupt initial configurations may carry forged messages whose
-    payloads are drawn from the whole data ``domain``, including letters
-    the input never uses.  Renaming those by first occurrence while
-    keeping them distinguishable from the input items would break the
-    verdict-preservation argument, so this key instead **pins the input
-    items** (each input item is pre-assigned its placeholder, in input
-    order, before the configuration is traversed) and renames the
-    remaining domain items freely.
-
-    Two configurations share a key iff some bijection on domain items
-    maps one to the other while fixing the input sequence *pointwise* --
-    exactly the symmetries that (for protocols treating data opaquely)
-    map legitimate states to legitimate states and commute with the
-    dynamics, hence preserve per-source stabilization verdicts and
-    depths.  Soundness is property-swept by
-    ``tests/resilience/test_stabilize.py`` against the unreduced runs.
-    """
-    items = frozenset(domain) | frozenset(system.input_sequence)
-    input_sequence = system.input_sequence
-
-    def key(config: Configuration) -> Hashable:
-        mapping: Dict[object, _Placeholder] = {}
-        for item in input_sequence:
-            if item not in mapping:
-                mapping[item] = _placeholder(len(mapping))
-        renamed_config = _rename(tuple(config.__dict__.values())
-                                 if hasattr(config, "__dict__")
-                                 else config, mapping, items)
-        renamed_input = tuple(
-            _rename(item, mapping, items) for item in input_sequence
-        )
-        return (renamed_config, renamed_input)
-
-    return key
+from repro.kernel.system import System
 
 
 # ---------------------------------------------------------------------------
@@ -254,115 +97,6 @@ def explore_multi_source_batched(
 
 
 # ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrontierSnapshot:
-    """A resumable cut of an unreduced batched search.
-
-    Captured only at *level boundaries* (including the final, drained
-    one), where the set-BFS state is order-free and therefore exact:
-    resuming with a larger budget is bit-identical to a fresh run at that
-    budget.  Delegated searches (violation / mid-level truncation) have
-    no snapshot.
-
-    Attributes:
-        schema: :data:`FRONTIER_SCHEMA` at capture time.
-        fingerprint: the caller's system fingerprint ("" when captured
-            outside the cache layer); purely informational here -- key
-            integrity is the cache's job.
-        lineage: digest chain, one entry per capture in the resume chain
-            (oldest first).  ``verify()`` recomputes the newest entry.
-        include_drops: the nondeterminism the search ran under; a resume
-            under the other setting is refused.
-        max_states: the expansion budget at capture.
-        table: :meth:`CompiledSystem.snapshot` of the warm table, so a
-            resume in a fresh process revives it without recompiling.
-        visited: sorted ids of every discovered state.
-        frontier: sorted ids of the still-unexpanded newest level (empty
-            iff the search drained).
-        expanded: budget spent (states whose successors were generated).
-        peak_frontier: widest level seen so far.
-        depth: number of fully expanded levels.
-        completion_reachable: whether any discovered state is complete.
-        truncated: True iff the budget ran out with ``frontier`` pending.
-    """
-
-    schema: str
-    fingerprint: str
-    lineage: Tuple[str, ...]
-    include_drops: bool
-    max_states: int
-    table: Dict[str, object]
-    visited: Tuple[int, ...]
-    frontier: Tuple[int, ...]
-    expanded: int
-    peak_frontier: int
-    depth: int
-    completion_reachable: bool
-    truncated: bool
-
-    def _digest_body(self) -> str:
-        return (
-            f"{self.schema}|{self.fingerprint}|{self.include_drops}|"
-            f"{self.max_states}|{self.expanded}|{self.peak_frontier}|"
-            f"{self.depth}|{self.completion_reachable}|{self.truncated}|"
-            f"{self.visited!r}|{self.frontier!r}"
-        )
-
-    def _digest(self) -> str:
-        parent = self.lineage[-2] if len(self.lineage) > 1 else ""
-        body = parent + self._digest_body()
-        return hashlib.sha256(body.encode()).hexdigest()[:16]
-
-    def verify(self) -> bool:
-        """True iff the newest lineage digest matches the content."""
-        return (
-            self.schema == FRONTIER_SCHEMA
-            and bool(self.lineage)
-            and self.lineage[-1] == self._digest()
-        )
-
-
-def _capture_snapshot(
-    table: CompiledSystem,
-    fingerprint: str,
-    parent_lineage: Tuple[str, ...],
-    include_drops: bool,
-    max_states: int,
-    visited: set,
-    frontier: set,
-    expanded: int,
-    peak_frontier: int,
-    depth: int,
-    completion_reachable: bool,
-    truncated: bool,
-) -> FrontierSnapshot:
-    snapshot = FrontierSnapshot(
-        schema=FRONTIER_SCHEMA,
-        fingerprint=fingerprint,
-        lineage=parent_lineage + ("",),
-        include_drops=include_drops,
-        max_states=max_states,
-        table=table.snapshot(),
-        visited=tuple(sorted(visited)),
-        frontier=tuple(sorted(frontier)),
-        expanded=expanded,
-        peak_frontier=peak_frontier,
-        depth=depth,
-        completion_reachable=completion_reachable,
-        truncated=truncated,
-    )
-    # The digest covers everything but itself; fill the reserved slot.
-    object.__setattr__(
-        snapshot, "lineage", parent_lineage + (snapshot._digest(),)
-    )
-    return snapshot
-
-
-# ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
 
@@ -411,116 +145,32 @@ def _unsafe_initial_report(completion_reachable: bool, start: float):
 # ---------------------------------------------------------------------------
 
 
-def _resume_state(
-    resume_from: Optional[FrontierSnapshot],
-    include_drops: bool,
-    max_states: int,
-) -> Tuple[Optional[FrontierSnapshot], Tuple[str, ...]]:
-    """Validate a resume snapshot against the requested search.
-
-    Returns ``(snapshot, parent_lineage)``: the snapshot to continue from
-    (None when there is nothing usable) and the digest chain a new
-    capture must extend.  Schema and ``include_drops`` mismatches are
-    refused; a budget *below* the snapshot's spend silently starts over
-    (the snapshot holds no information about the earlier truncation
-    prefix).
-    """
-    if resume_from is None:
-        return None, ()
-    snap = resume_from
-    if snap.schema != FRONTIER_SCHEMA:
-        raise VerificationError(
-            f"unsupported frontier snapshot: {snap.schema!r}"
-        )
-    if snap.include_drops != include_drops:
-        raise VerificationError(
-            "frontier snapshot was taken under "
-            f"include_drops={snap.include_drops}; cannot resume with "
-            f"include_drops={include_drops}"
-        )
-    if max_states < snap.expanded:
-        # A smaller budget would have truncated earlier than the
-        # snapshot's cut; the snapshot holds no information about that
-        # earlier prefix, so start over.
-        return None, ()
-    return snap, snap.lineage
-
-
-def _drained_result(snap: FrontierSnapshot, capture: bool, start: float):
-    """The ``(report, snapshot, stats)`` of a finished snapshot.
-
-    A drained search knows its full space: any budget at or above the
-    recorded spend reproduces the finished report without touching the
-    table.
-    """
-    elapsed = time.perf_counter() - start
-    report = _fast_report(
-        states=len(snap.visited),
-        all_safe=True,
-        violation_path=None,
-        completion_reachable=snap.completion_reachable,
-        truncated=False,
-        expanded_states=snap.expanded,
-        peak_frontier=snap.peak_frontier,
-        elapsed_seconds=elapsed,
-        states_per_second=(
-            snap.expanded / elapsed if elapsed > 0 else 0.0
-        ),
-    )
-    stats = {"depth": snap.depth, "width": snap.peak_frontier}
-    return report, (snap if capture else None), stats
-
-
 def _explore_batched_core(
     system: System,
     max_states: int,
     include_drops: bool,
     store_parents: bool,
     compiled: Optional[CompiledSystem],
-    capture: bool,
-    resume_from: Optional[FrontierSnapshot],
-    fingerprint: str,
 ):
-    """Level-synchronous unreduced search.
+    """Level-synchronous search.
 
-    Returns ``(report, snapshot, stats)``; ``snapshot`` is None unless
-    ``capture`` (or when the run delegated), ``stats`` is None for
-    delegated runs.
+    Returns ``(report, stats)``; ``stats`` is None for delegated runs.
     """
     from repro.verify.explorer import _explore_table
 
     if max_states < 1:
         raise VerificationError("max_states must be positive")
     start = time.perf_counter()
-
-    snap, parent_lineage = _resume_state(resume_from, include_drops, max_states)
-
-    if snap is not None and not snap.truncated:
-        return _drained_result(snap, capture, start)
-
-    if snap is not None:
-        table = (
-            compiled
-            if compiled is not None
-            else CompiledSystem.from_snapshot(system, snap.table)
-        )
-        visited = set(snap.visited)
-        frontier = set(snap.frontier)
-        expanded = snap.expanded
-        peak_frontier = snap.peak_frontier
-        depth = snap.depth
-        completion_reachable = snap.completion_reachable
-    else:
-        table = compiled if compiled is not None else CompiledSystem(system)
-        initial_id = table.initial_id()
-        completion_reachable = table.is_complete(initial_id)
-        if not table.is_safe(initial_id):
-            return _unsafe_initial_report(completion_reachable, start), None, None
-        visited = {initial_id}
-        frontier = {initial_id}
-        expanded = 0
-        peak_frontier = 1
-        depth = 0
+    table = compiled if compiled is not None else CompiledSystem(system)
+    initial_id = table.initial_id()
+    completion_reachable = table.is_complete(initial_id)
+    if not table.is_safe(initial_id):
+        return _unsafe_initial_report(completion_reachable, start), None
+    visited = {initial_id}
+    frontier = {initial_id}
+    expanded = 0
+    peak_frontier = 1
+    depth = 0
 
     succ = table.succ_row if include_drops else table.succ_row_without_drops
     safe = table._safe
@@ -548,14 +198,12 @@ def _explore_batched_core(
                     system, max_states, include_drops, store_parents, table
                 ),
                 None,
-                None,
             )
         new = set().union(*map(succ, frontier))
         new.difference_update(visited)
         expanded += width
         depth += 1
         if not new:
-            frontier = set()
             break
         if not all(map(safe.__getitem__, new)):
             # Which violating state the scalar search reaches first (and
@@ -564,7 +212,6 @@ def _explore_batched_core(
                 _explore_table(
                     system, max_states, include_drops, store_parents, table
                 ),
-                None,
                 None,
             )
         if not completion_reachable and any(
@@ -586,117 +233,7 @@ def _explore_batched_core(
         elapsed_seconds=elapsed,
         states_per_second=expanded / elapsed if elapsed > 0 else 0.0,
     )
-    snapshot = None
-    if capture:
-        snapshot = _capture_snapshot(
-            table,
-            fingerprint,
-            parent_lineage,
-            include_drops,
-            max_states,
-            visited,
-            frontier,
-            expanded,
-            peak_frontier,
-            depth,
-            completion_reachable,
-            truncated,
-        )
-    stats = {"depth": depth, "width": peak_frontier}
-    return report, snapshot, stats
-
-
-def _explore_reduced(
-    system: System,
-    max_states: int,
-    include_drops: bool,
-    store_parents: bool,
-    table: CompiledSystem,
-    key_fn: Callable[[Configuration], Hashable],
-):
-    """Quotiented search: expand one representative per canonical class.
-
-    Safety and completion are probed on every *concrete* successor before
-    it is quotiented, so verdicts match the unreduced search; ``states``
-    counts canonical classes.  A violation delegates to the exact scalar
-    search (unreduced) for the shortest witness.  Budget that would split
-    a level truncates the whole level -- the reduced engine never spends
-    more than ``max_states`` expansions.
-    """
-    from repro.verify.explorer import _explore_table
-
-    if max_states < 1:
-        raise VerificationError("max_states must be positive")
-    start = time.perf_counter()
-    initial_id = table.initial_id()
-    completion_reachable = table.is_complete(initial_id)
-    if not table.is_safe(initial_id):
-        return _unsafe_initial_report(completion_reachable, start), None
-
-    succ = table.succ_row if include_drops else table.succ_row_without_drops
-    safe = table._safe
-    complete = table._complete
-    config_of = table.config_of
-
-    seen_keys = {key_fn(config_of(initial_id))}
-    visited_concrete = {initial_id}
-    frontier = {initial_id}
-    expanded = 0
-    peak_frontier = 1
-    depth = 0
-    truncated = False
-
-    while frontier:
-        width = len(frontier)
-        if width > peak_frontier:
-            peak_frontier = width
-        remaining = max_states - expanded
-        if remaining < width:
-            truncated = True
-            break
-        new = set().union(*map(succ, frontier))
-        new.difference_update(visited_concrete)
-        expanded += width
-        depth += 1
-        if not new:
-            break
-        if not all(map(safe.__getitem__, new)):
-            return (
-                _explore_table(
-                    system, max_states, include_drops, store_parents, table
-                ),
-                None,
-            )
-        if not completion_reachable and any(
-            map(complete.__getitem__, new)
-        ):
-            completion_reachable = True
-        visited_concrete.update(new)
-        next_frontier = set()
-        for state_id in new:
-            key = key_fn(config_of(state_id))
-            if key not in seen_keys:
-                seen_keys.add(key)
-                next_frontier.add(state_id)
-        frontier = next_frontier
-
-    elapsed = time.perf_counter() - start
-    report = _fast_report(
-        states=len(seen_keys),
-        all_safe=True,
-        violation_path=None,
-        completion_reachable=completion_reachable,
-        truncated=truncated,
-        expanded_states=expanded,
-        peak_frontier=peak_frontier,
-        elapsed_seconds=elapsed,
-        states_per_second=expanded / elapsed if elapsed > 0 else 0.0,
-    )
-    ratio = (
-        len(visited_concrete) / len(seen_keys) if seen_keys else 1.0
-    )
-    stats = {"depth": depth, "width": peak_frontier, "reduction_ratio": ratio}
-    return report, stats
+    return report, {"depth": depth, "width": peak_frontier}
 
 
 def explore_batched(
@@ -705,111 +242,35 @@ def explore_batched(
     include_drops: bool = True,
     store_parents: bool = True,
     compiled: Optional[CompiledSystem] = None,
-    reduce: bool = False,
-    canonical_key: Optional[Callable[[Configuration], Hashable]] = None,
 ):
     """Batched twin of :func:`~repro.verify.explorer.explore_compiled`.
 
-    In unreduced mode (the default) the report is bit-identical to
-    ``explore_compiled`` in every non-timing field: order-free levels are
-    processed set-at-a-time, and the two order-sensitive cases (Safety
-    violation; budget exhausted mid-level) fall back to the exact scalar
-    search over the warm table.
-
-    With ``reduce=True`` states equivalent under the input-respecting
-    data-item renaming (``canonical_key``, defaulting to
-    :func:`canonical_state_key`) are quotiented: Safety / completion
-    verdicts are preserved (checked on concrete states before
-    quotienting; property-swept in the test suite), while ``states``
-    counts canonical classes.
+    The report is bit-identical to ``explore_compiled`` in every
+    non-timing field: order-free levels are processed set-at-a-time, and
+    the two order-sensitive cases (Safety violation; budget exhausted
+    mid-level) fall back to the exact scalar search over the warm table.
 
     ``store_parents`` has no effect on the batched sweep itself (it keeps
     no parent links); it is forwarded to the scalar fallback, whose
     report is the same either way.
     """
     if not obs.enabled():
-        return _dispatch_batched(
-            system, max_states, include_drops, store_parents, compiled,
-            reduce, canonical_key,
+        return _explore_batched_core(
+            system, max_states, include_drops, store_parents, compiled
         )[0]
     from repro.verify.explorer import _note_search
 
-    with obs.span(
-        "explore", compiled=True, engine="batched", reduce=reduce
-    ) as _span:
-        report, stats = _dispatch_batched(
-            system, max_states, include_drops, store_parents, compiled,
-            reduce, canonical_key,
+    with obs.span("explore", compiled=True, engine="batched") as _span:
+        report, stats = _explore_batched_core(
+            system, max_states, include_drops, store_parents, compiled
         )
         _note_search(_span, report, compiled=True)
-        _emit_frontier_gauges(stats)
+        if stats is not None:
+            obs.gauge_set("frontier.depth", stats["depth"])
+            obs.gauge_set("frontier.width", stats["width"])
         return report
 
 
-def _dispatch_batched(
-    system, max_states, include_drops, store_parents, compiled,
-    reduce, canonical_key,
-):
-    if reduce:
-        table = compiled if compiled is not None else CompiledSystem(system)
-        key_fn = (
-            canonical_key
-            if canonical_key is not None
-            else canonical_state_key(system)
-        )
-        return _explore_reduced(
-            system, max_states, include_drops, store_parents, table, key_fn
-        )
-    report, _snapshot, stats = _explore_batched_core(
-        system, max_states, include_drops, store_parents, compiled,
-        capture=False, resume_from=None, fingerprint="",
-    )
-    return report, stats
-
-
-def explore_batched_resumable(
-    system: System,
-    max_states: int = 1_000_000,
-    include_drops: bool = True,
-    compiled: Optional[CompiledSystem] = None,
-    resume_from: Optional[FrontierSnapshot] = None,
-    fingerprint: str = "",
-):
-    """:func:`explore_batched` (unreduced) with snapshot in / snapshot out.
-
-    Returns ``(report, snapshot)``.  ``snapshot`` captures the search at
-    its final level boundary and is ``None`` when the run had to delegate
-    to the scalar engine (violation or mid-level truncation) -- those
-    cuts are not order-free, so there is nothing exact to resume from.
-    Pass a prior (truncated) snapshot as ``resume_from`` to continue it
-    under a larger budget: the resumed report is bit-identical to a fresh
-    run at that budget.  A finished snapshot short-circuits entirely.
-    """
-    if not obs.enabled():
-        report, snapshot, _stats = _explore_batched_core(
-            system, max_states, include_drops, True, compiled,
-            capture=True, resume_from=resume_from, fingerprint=fingerprint,
-        )
-        return report, snapshot
-    from repro.verify.explorer import _note_search
-
-    with obs.span(
-        "explore", compiled=True, engine="batched",
-        resumed=resume_from is not None,
-    ) as _span:
-        report, snapshot, stats = _explore_batched_core(
-            system, max_states, include_drops, True, compiled,
-            capture=True, resume_from=resume_from, fingerprint=fingerprint,
-        )
-        _note_search(_span, report, compiled=True)
-        _emit_frontier_gauges(stats)
-        return report, snapshot
-
-
-def _emit_frontier_gauges(stats: Optional[dict]) -> None:
-    if not stats or not obs.enabled():
-        return
-    obs.gauge_set("frontier.depth", stats["depth"])
-    obs.gauge_set("frontier.width", stats["width"])
-    if "reduction_ratio" in stats:
-        obs.gauge_set("frontier.reduction_ratio", stats["reduction_ratio"])
+#: The benchmark's tracer (``perfbench/tracing.py``) still wraps this
+#: name; nothing in the library calls it.
+explore_batched_resumable = explore_batched

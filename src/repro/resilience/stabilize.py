@@ -50,25 +50,18 @@ The pipeline, end to end:
     invariant under state-id renumbering: verdicts cannot depend on the
     engine or shard count that produced the graph.
 
-``reduce=True`` collapses the corrupt initial set under
-:func:`repro.kernel.frontier.stabilization_state_key` (input-pinned
-data-item renaming over the full domain), explores one representative
-per class, and expands each representative's verdict to its whole class
--- bit-identical per-source verdicts at a fraction of the graph.
-
 **Sharding.**  Per-source verdicts depend only on the subgraph
 reachable from that source: a path out of a source never leaves its
 reachable set, so the shortest depth into ``L`` and trap-reachability
 computed on the restriction equal those computed on the full
 multi-source graph.  That makes the corrupt set embarrassingly
-partitionable: :func:`shard_of_class` deals each symmetry class (by the
-digest of its canonical representative) onto one of ``shard_count``
-shards, :func:`analyze_stabilization_shard` judges one shard's sources
-on its own reachable subgraph, and
-:func:`merge_stabilization_shards` reassembles the full
-:class:`StabilizationResult` -- bit-identical (timing aside) to the
-single-host analysis, which is what lets the work fabric distribute
-``stabilize`` cells across workers.
+partitionable: :func:`shard_of_source` deals each source (by the digest
+of its ``repr``) onto one of ``shard_count`` shards,
+:func:`analyze_stabilization_shard` judges one shard's sources on its
+own reachable subgraph, and :func:`merge_stabilization_shards`
+reassembles the full :class:`StabilizationResult` -- bit-identical
+(timing aside) to the single-host analysis, which is what lets the work
+fabric distribute ``stabilize`` cells across workers.
 """
 
 from __future__ import annotations
@@ -79,15 +72,13 @@ import random
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.kernel.compiled import CompiledSystem
 from repro.kernel.errors import VerificationError
-from repro.kernel.frontier import (
-    explore_multi_source_batched,
-    stabilization_state_key,
-)
+from repro.kernel.frontier import explore_multi_source_batched
 from repro.kernel.interfaces import (
     ReceiverProtocol,
     SenderProtocol,
@@ -260,6 +251,31 @@ def corrupt_initial_set(
     system (all outputs ``()``), so enumeration order is reproducible
     everywhere.
     """
+    return tuple(
+        config
+        for _, config in _corrupt_pairs(
+            system, channel_depth, corruption, legitimate_configs,
+            max_states, include_drops,
+        )
+    )
+
+
+#: A corrupt source with its ``repr``, which orders, digests and
+#: partitions it.
+_Source = Tuple[str, Configuration]
+
+
+def _corrupt_pairs(
+    system: System,
+    channel_depth: Optional[int],
+    corruption: str,
+    legitimate_configs: Optional[Sequence[Configuration]],
+    max_states: int,
+    include_drops: bool,
+) -> List[_Source]:
+    """:func:`corrupt_initial_set` as ``repr``-sorted ``(repr, config)``
+    pairs, so callers that key, digest or partition by ``repr`` compute
+    each one once."""
     if corruption not in CORRUPTION_MODES:
         raise VerificationError(
             f"unknown corruption mode {corruption!r}; "
@@ -314,16 +330,24 @@ def corrupt_initial_set(
             sender_states, receiver_states, chan_sr_states, chan_rs_states
         )
     }
-    return tuple(sorted(configs, key=repr))
+    return sorted(
+        ((repr(config), config) for config in configs), key=itemgetter(0)
+    )
 
 
 def corrupt_set_fingerprint(configs: Sequence[Configuration]) -> str:
     """A stable digest of a corrupt initial set (cache / report key)."""
-    digest = hashlib.sha256(CORRUPTION_SCHEMA.encode())
-    for config in configs:
-        digest.update(repr(config).encode())
-        digest.update(b"\n")
-    return digest.hexdigest()[:16]
+    return _fingerprint_of_reprs(map(repr, configs))
+
+
+def _fingerprint_of_reprs(reprs: Iterable[str]) -> str:
+    """The schema tag, then each ``repr`` and a newline, digested.
+
+    Stored results and shard keys carry this digest, so the byte layout
+    must not change without a :data:`CORRUPTION_SCHEMA` bump.
+    """
+    text = CORRUPTION_SCHEMA + "".join(item + "\n" for item in reprs)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +411,10 @@ class StabilizationResult:
 
     Attributes:
         sources: size of the corrupt initial set analyzed.
-        classes: number of symmetry classes the set collapses into under
-            :func:`~repro.kernel.frontier.stabilization_state_key`.
-        reduction_ratio: ``sources / classes``.
         legitimate_states: size of the legitimate (clean-reachable,
             output-projected) set ``L``.
         explored_states: states touched in total -- ``L`` plus the
-            illegitimate states reachable from the (possibly reduced)
-            source set.
+            illegitimate states reachable from the source set.
         stabilizing: sources that provably converge (cannot reach a trap).
         non_stabilizing: sources that can reach a trap.
         max_depth: largest stabilization depth among stabilizing
@@ -403,19 +423,17 @@ class StabilizationResult:
             sources, depth-sorted.
         verdicts: ``((configuration, stabilizes, depth), ...)`` for every
             source, ``repr``-sorted -- the field the equivalence sweeps
-            compare bit-for-bit across engines and reduced/unreduced.
+            compare bit-for-bit across engines and shard counts.
         non_stabilizing_examples: up to 5 witness configurations.
         converges: True iff every source stabilizes -- the protocol is
             self-stabilizing over this corrupt set.
         corrupt_fingerprint: digest of the enumerated corrupt set.
         corruption: the corruption mode analyzed.
-        engine / reduce / sample / seed: how the run was made.
+        engine / sample / seed: how the run was made.
         elapsed_seconds / states_per_second: timing.
     """
 
     sources: int
-    classes: int
-    reduction_ratio: float
     legitimate_states: int
     explored_states: int
     stabilizing: int
@@ -428,7 +446,6 @@ class StabilizationResult:
     corrupt_fingerprint: str
     corruption: str
     engine: str
-    reduce: bool
     sample: Optional[int]
     seed: int
     elapsed_seconds: float
@@ -438,8 +455,6 @@ class StabilizationResult:
         """The JSON-friendly projection joined into resilience reports."""
         return {
             "sources": self.sources,
-            "classes": self.classes,
-            "reduction_ratio": round(self.reduction_ratio, 4),
             "legitimate_states": self.legitimate_states,
             "explored_states": self.explored_states,
             "stabilizing": self.stabilizing,
@@ -450,7 +465,6 @@ class StabilizationResult:
             "corrupt_fingerprint": self.corrupt_fingerprint,
             "corruption": self.corruption,
             "engine": self.engine,
-            "reduce": self.reduce,
             "sample": self.sample,
             "seed": self.seed,
         }
@@ -463,7 +477,6 @@ class StabilizationResult:
 def analyze_stabilization(
     system: System,
     engine: str = "batched",
-    reduce: bool = False,
     sample: Optional[int] = None,
     seed: int = 0,
     max_states: int = 500_000,
@@ -476,13 +489,11 @@ def analyze_stabilization(
 
     ``engine`` is a label: "scalar" is accepted for CLI symmetry and
     runs the batched multi-source BFS too -- there is no per-state order
-    for a set-seeded BFS to preserve;
-    ``reduce`` explores one representative per symmetry class of the
-    corrupt set and expands verdicts back to every member; ``sample``
-    (with ``seed``) analyzes a seeded deterministic subsample of the
-    enumerated corrupt set instead of all of it.  ``domain`` is the full
-    data-item domain used by the symmetry key; by default it is taken
-    from the sender's declared domain, falling back to the input items.
+    for a set-seeded BFS to preserve; ``sample`` (with ``seed``)
+    analyzes a seeded deterministic subsample of the enumerated corrupt
+    set instead of all of it.  ``domain`` does not change the analysis:
+    it is accepted so callers can pass the same data-item domain that
+    identifies the run in :func:`~repro.analysis.cache.stabilize_report_key`.
     ``include_drops`` should stay True on lossy channels: explicit drop
     moves are how the corrupt in-flight garbage drains.
     """
@@ -494,13 +505,13 @@ def analyze_stabilization(
         )
     if not obs.enabled():
         return _analyze(
-            system, engine, reduce, sample, seed, max_states,
-            channel_depth, include_drops, corruption, domain,
+            system, engine, sample, seed, max_states, channel_depth,
+            include_drops, corruption,
         )
-    with obs.span("stabilize", engine=engine, reduce=reduce) as span:
+    with obs.span("stabilize", engine=engine) as span:
         result = _analyze(
-            system, engine, reduce, sample, seed, max_states,
-            channel_depth, include_drops, corruption, domain,
+            system, engine, sample, seed, max_states, channel_depth,
+            include_drops, corruption,
         )
         span.set(
             sources=result.sources,
@@ -515,14 +526,10 @@ def analyze_stabilization(
 class _StabilizePrep:
     """Everything the verdict phase needs, shared by host and shard paths."""
 
-    projected: System
     table: CompiledSystem
     legitimate: FrozenSet[int]
-    corrupt: Tuple[Configuration, ...]
+    corrupt: List[_Source]
     fingerprint: str
-    key_fn: Callable[[Configuration], object]
-    class_of: Dict[object, List[Configuration]]
-    source_ids: Dict[Configuration, int]
 
 
 def _prepare(
@@ -533,24 +540,22 @@ def _prepare(
     channel_depth: Optional[int],
     include_drops: bool,
     corruption: str,
-    domain: Optional[Sequence],
     table: Optional[CompiledSystem] = None,
 ) -> _StabilizePrep:
-    """Legitimate set, corrupt enumeration, and symmetry classes.
+    """Legitimate set, corrupt enumeration, and its fingerprint.
 
     The deterministic prefix every shard recomputes identically (and the
-    single-host path computes once): because the enumeration, sampling,
-    and classing are pure functions of the system and knobs, shards on
-    different workers agree on the exact corrupt set, class
-    representatives, and fingerprint without any coordination.  ``table``
-    lets a fabric worker hand in a revived
-    :class:`~repro.kernel.compiled.CompiledSystem` for the *projected*
-    system -- verdicts are id-invariant, so a table grown by another
-    process is as good as a fresh compile.
+    single-host path computes once): because the enumeration and
+    sampling are pure functions of the system and knobs, shards on
+    different workers agree on the exact corrupt set, its order, and
+    fingerprint without any coordination.  ``table`` lets a fabric worker
+    hand in a revived :class:`~repro.kernel.compiled.CompiledSystem` for
+    the *projected* system -- verdicts are id-invariant, so a table grown
+    by another process is as good as a fresh compile.  Sources are not
+    interned here: each path interns only the sources it judges.
     """
-    projected = projected_system(system)
     if table is None:
-        table = CompiledSystem(projected)
+        table = CompiledSystem(projected_system(system))
 
     # The legitimate set: one single-source run of the same BFS core.
     legit_ids, _ = explore_multi_source_batched(
@@ -558,72 +563,51 @@ def _prepare(
         max_states=max_states, include_drops=include_drops,
     )
     legitimate = frozenset(legit_ids)
-    legitimate_configs = [table.config_of(sid) for sid in legitimate]
-
-    corrupt = corrupt_initial_set(
+    corrupt = _corrupt_pairs(
         system,
-        channel_depth=channel_depth,
-        corruption=corruption,
-        legitimate_configs=legitimate_configs,
+        channel_depth,
+        corruption,
+        [table.config_of(sid) for sid in legitimate],
+        max_states,
+        include_drops,
     )
     if sample is not None and 0 < sample < len(corrupt):
-        corrupt = tuple(
-            sorted(random.Random(seed).sample(corrupt, sample), key=repr)
+        corrupt = sorted(
+            random.Random(seed).sample(corrupt, sample), key=itemgetter(0)
         )
-    fingerprint = corrupt_set_fingerprint(corrupt)
-
-    # Symmetry classes of the corrupt set (computed in both modes: the
-    # class count and ratio are part of the report either way).
-    if domain is None:
-        domain = getattr(system.sender, "_domain", system.input_sequence)
-    key_fn = stabilization_state_key(projected, domain=tuple(domain))
-    class_of: Dict[object, List[Configuration]] = {}
-    for config in corrupt:  # repr-sorted: representatives are canonical
-        class_of.setdefault(key_fn(config), []).append(config)
-
-    source_ids = {
-        config: table._ensure_state(config) for config in corrupt
-    }
     return _StabilizePrep(
-        projected=projected,
         table=table,
         legitimate=legitimate,
         corrupt=corrupt,
-        fingerprint=fingerprint,
-        key_fn=key_fn,
-        class_of=class_of,
-        source_ids=source_ids,
+        fingerprint=_fingerprint_of_reprs(text for text, _ in corrupt),
     )
 
 
 def _judge_sources(
     prep: _StabilizePrep,
-    classes: Dict[object, List[Configuration]],
-    sources: Sequence[Configuration],
-    reduce: bool,
+    sources: Sequence[_Source],
     max_states: int,
     include_drops: bool,
     heartbeat=None,
-) -> Tuple[set, Tuple[Tuple[Configuration, bool, Optional[int]], ...]]:
-    """Multi-source BFS from ``classes`` and one verdict per source.
+) -> Tuple[
+    set, List[int], Tuple[Tuple[Configuration, bool, Optional[int]], ...]
+]:
+    """Multi-source BFS from ``sources`` and one verdict per source.
 
-    ``classes`` is the slice of ``prep.class_of`` being judged (all of
-    it on the host path, one shard's classes on the shard path) and
-    ``sources`` lists its members in verdict order.  Under ``reduce``
-    the BFS starts from one representative per class and each member
-    inherits its representative's verdict.  Returns ``(visited,
-    verdicts)``: the illegitimate states the BFS reached and
-    ``((configuration, stabilizes, depth), ...)`` over ``sources``.
+    ``sources`` is all of ``prep.corrupt`` on the host path and one
+    shard's slice of it on the shard path, in verdict order; only these
+    are interned into the table.  Returns ``(visited, source_ids,
+    verdicts)``: the illegitimate states the BFS reached, each source's
+    state id, and ``((configuration, stabilizes, depth), ...)`` over
+    ``sources``.
     """
-    if reduce:
-        bfs_configs = [members[0] for members in classes.values()]
-    else:
-        bfs_configs = list(sources)
     table = prep.table
     legitimate = prep.legitimate
+    ensure = table._ensure_state
+    source_ids = [ensure(config) for _, config in sources]
     visited, _widths = explore_multi_source_batched(
         table,
-        [prep.source_ids[config] for config in bfs_configs],
+        source_ids,
         legitimate,
         max_states=max_states,
         include_drops=include_drops,
@@ -646,27 +630,16 @@ def _judge_sources(
             return False, None
         return True, depth[sid]
 
-    if reduce:
-        representative_verdicts = {
-            key: verdict_of(prep.source_ids[members[0]])
-            for key, members in classes.items()
-        }
-        verdicts = tuple(
-            (config, *representative_verdicts[prep.key_fn(config)])
-            for config in sources
-        )
-    else:
-        verdicts = tuple(
-            (config, *verdict_of(prep.source_ids[config]))
-            for config in sources
-        )
-    return visited, verdicts
+    verdicts = tuple(
+        (config, *verdict_of(sid))
+        for (_, config), sid in zip(sources, source_ids)
+    )
+    return visited, source_ids, verdicts
 
 
 def _result(
     verdicts: Tuple[Tuple[Configuration, bool, Optional[int]], ...],
     sources: int,
-    classes: int,
     legitimate_states: int,
     explored_states: int,
     elapsed_seconds: float,
@@ -675,15 +648,13 @@ def _result(
     """The verdict sheet's summary fields, derived from its verdicts.
 
     ``labels`` carries the fields that only describe the run:
-    ``corrupt_fingerprint``, ``corruption``, ``engine``, ``reduce``,
-    ``sample`` and ``seed``.
+    ``corrupt_fingerprint``, ``corruption``, ``engine``, ``sample`` and
+    ``seed``.
     """
     stabilizing_depths = [d for _, ok, d in verdicts if ok]
     non_stabilizing = [config for config, ok, _ in verdicts if not ok]
     return StabilizationResult(
         sources=sources,
-        classes=classes,
-        reduction_ratio=(sources / classes) if classes else 1.0,
         legitimate_states=legitimate_states,
         explored_states=explored_states,
         stabilizing=len(stabilizing_depths),
@@ -704,34 +675,30 @@ def _result(
 def _analyze(
     system: System,
     engine: str,
-    reduce: bool,
     sample: Optional[int],
     seed: int,
     max_states: int,
     channel_depth: Optional[int],
     include_drops: bool,
     corruption: str,
-    domain: Optional[Sequence],
 ) -> StabilizationResult:
     start = time.perf_counter()
     prep = _prepare(
         system, sample, seed, max_states, channel_depth, include_drops,
-        corruption, domain,
+        corruption,
     )
-    visited, verdicts = _judge_sources(
-        prep, prep.class_of, prep.corrupt, reduce, max_states, include_drops
+    visited, _ids, verdicts = _judge_sources(
+        prep, prep.corrupt, max_states, include_drops
     )
     return _result(
         verdicts,
         sources=len(prep.corrupt),
-        classes=len(prep.class_of),
         legitimate_states=len(prep.legitimate),
         explored_states=len(prep.legitimate) + len(visited),
         elapsed_seconds=time.perf_counter() - start,
         corrupt_fingerprint=prep.fingerprint,
         corruption=corruption,
         engine=engine,
-        reduce=reduce,
         sample=sample,
         seed=seed,
     )
@@ -742,24 +709,22 @@ def _analyze(
 # ---------------------------------------------------------------------------
 
 
-def _config_digest(config: Configuration) -> bytes:
-    """A stable 16-byte digest of one configuration (for visited-set union)."""
-    return hashlib.sha256(repr(config).encode()).digest()[:16]
+def _repr_digest(text: str) -> bytes:
+    """A stable 16-byte digest of one configuration's ``repr`` (for the
+    visited-set union)."""
+    return hashlib.sha256(text.encode()).digest()[:16]
 
 
-def shard_of_class(representative: Configuration, shard_count: int) -> int:
-    """The shard owning one symmetry class of the corrupt set.
+def shard_of_source(source_repr: str, shard_count: int) -> int:
+    """The shard owning one corrupt source, given its ``repr``.
 
-    Keyed by the digest of the class's canonical representative (the
-    ``repr``-least member, which every process derives identically from
-    the ``repr``-sorted corrupt enumeration), salted with
-    :data:`CORRUPTION_SCHEMA` so partition assignments shift whenever
-    the enumeration semantics do.  Whole classes -- never individual
-    members -- land on one shard, so reduced and unreduced shard
-    analyses seed their BFS from the same partition.
+    Keyed by the digest of the source's ``repr`` -- which every process
+    derives identically from the ``repr``-sorted corrupt enumeration --
+    salted with :data:`CORRUPTION_SCHEMA` so partition assignments shift
+    whenever the enumeration semantics do.
     """
     digest = hashlib.sha256(
-        (CORRUPTION_SCHEMA + repr(representative)).encode()
+        (CORRUPTION_SCHEMA + source_repr).encode()
     ).digest()
     return int.from_bytes(digest[:8], "big") % max(1, shard_count)
 
@@ -768,24 +733,22 @@ def shard_of_class(representative: Configuration, shard_count: int) -> int:
 class StabilizationShard:
     """One shard's verdicts plus the agreement fields merging checks.
 
-    ``sources`` / ``classes`` / ``legitimate_states`` /
-    ``corrupt_fingerprint`` describe the *full* analysis (every shard
-    recomputes the deterministic prefix and must agree on them);
-    ``verdicts`` covers only the sources whose symmetry class
-    :func:`shard_of_class` assigned here, ``repr``-sorted.
-    ``visited_digests`` holds :func:`_config_digest` of each
-    illegitimate state this shard's BFS visited -- the merge unions them
-    to reconstruct the single-host ``explored_states`` count exactly.
+    ``sources`` / ``legitimate_states`` / ``corrupt_fingerprint``
+    describe the *full* analysis (every shard recomputes the
+    deterministic prefix and must agree on them); ``verdicts`` covers
+    only the sources :func:`shard_of_source` assigned here,
+    ``repr``-sorted.  ``visited_digests`` holds the digest of the
+    ``repr`` of each illegitimate state this shard's BFS visited -- the
+    merge unions them to reconstruct the single-host ``explored_states``
+    count exactly.
     """
 
     shard_index: int
     shard_count: int
     corruption: str
-    reduce: bool
     sample: Optional[int]
     seed: int
     sources: int
-    classes: int
     legitimate_states: int
     corrupt_fingerprint: str
     verdicts: Tuple[Tuple[Configuration, bool, Optional[int]], ...]
@@ -797,14 +760,12 @@ def analyze_stabilization_shard(
     system: System,
     shard_index: int,
     shard_count: int,
-    reduce: bool = False,
     sample: Optional[int] = None,
     seed: int = 0,
     max_states: int = 500_000,
     channel_depth: Optional[int] = None,
     include_drops: bool = True,
     corruption: str = "full",
-    domain: Optional[Sequence] = None,
     table: Optional[CompiledSystem] = None,
     heartbeat=None,
 ) -> StabilizationShard:
@@ -826,34 +787,32 @@ def analyze_stabilization_shard(
     start = time.perf_counter()
     prep = _prepare(
         system, sample, seed, max_states, channel_depth, include_drops,
-        corruption, domain, table=table,
+        corruption, table=table,
     )
     if heartbeat is not None:
         heartbeat()
-    mine = {
-        key: members
-        for key, members in prep.class_of.items()
-        if shard_of_class(members[0], shard_count) == shard_index
-    }
-    members_sorted = sorted(
-        (config for members in mine.values() for config in members), key=repr
+    mine = [
+        source
+        for source in prep.corrupt
+        if shard_of_source(source[0], shard_count) == shard_index
+    ]
+    visited, source_ids, verdicts = _judge_sources(
+        prep, mine, max_states, include_drops, heartbeat=heartbeat
     )
-    visited, verdicts = _judge_sources(
-        prep, mine, members_sorted, reduce, max_states, include_drops,
-        heartbeat=heartbeat,
-    )
+    # Sources arrive with their repr; other visited states need one.
+    texts = dict(zip(source_ids, (text for text, _ in mine)))
+    config_of = prep.table.config_of
     digests = frozenset(
-        _config_digest(prep.table.config_of(sid)) for sid in visited
+        _repr_digest(texts.get(sid) or repr(config_of(sid)))
+        for sid in visited
     )
     return StabilizationShard(
         shard_index=shard_index,
         shard_count=shard_count,
         corruption=corruption,
-        reduce=bool(reduce),
         sample=sample,
         seed=seed,
         sources=len(prep.corrupt),
-        classes=len(prep.class_of),
         legitimate_states=len(prep.legitimate),
         corrupt_fingerprint=prep.fingerprint,
         verdicts=verdicts,
@@ -875,7 +834,8 @@ def merge_stabilization_shards(
     stored shards*, so two workers racing to merge the same shard
     payloads publish byte-identical results.  Raises
     :class:`VerificationError` on an incomplete or disagreeing shard
-    set.
+    set, on a source judged twice, and on a verdict held by a shard
+    :func:`shard_of_source` does not assign it to.
     """
     if not shards:
         raise VerificationError("no stabilization shards to merge")
@@ -891,46 +851,58 @@ def merge_stabilization_shards(
             f"0..{first.shard_count - 1} exactly once"
         )
     agreement = (
-        first.shard_count, first.corruption, first.reduce, first.sample,
-        first.seed, first.sources, first.classes, first.legitimate_states,
-        first.corrupt_fingerprint,
+        first.shard_count, first.corruption, first.sample, first.seed,
+        first.sources, first.legitimate_states, first.corrupt_fingerprint,
     )
     for shard in ordered[1:]:
         if (
-            shard.shard_count, shard.corruption, shard.reduce, shard.sample,
-            shard.seed, shard.sources, shard.classes,
-            shard.legitimate_states, shard.corrupt_fingerprint,
+            shard.shard_count, shard.corruption, shard.sample, shard.seed,
+            shard.sources, shard.legitimate_states,
+            shard.corrupt_fingerprint,
         ) != agreement:
             raise VerificationError(
                 f"shard {shard.shard_index} disagrees with shard "
                 f"{first.shard_index} on the deterministic prefix "
                 "(corrupt set / legitimate set / knobs)"
             )
-    verdicts = tuple(
-        sorted(
-            (verdict for shard in ordered for verdict in shard.verdicts),
-            key=lambda verdict: repr(verdict[0]),
-        )
+    keyed = sorted(
+        (
+            (repr(verdict[0]), shard.shard_index, verdict)
+            for shard in ordered
+            for verdict in shard.verdicts
+        ),
+        key=itemgetter(0),
     )
-    if len(verdicts) != first.sources:
+    if len(keyed) != first.sources:
         raise VerificationError(
-            f"merged verdicts cover {len(verdicts)} sources, "
+            f"merged verdicts cover {len(keyed)} sources, "
             f"expected {first.sources}"
         )
+    previous = None
+    for text, shard_index, _verdict in keyed:
+        if text == previous:
+            raise VerificationError(
+                f"two merged verdicts judge the same source {text}"
+            )
+        owner = shard_of_source(text, first.shard_count)
+        if owner != shard_index:
+            raise VerificationError(
+                f"shard {shard_index} holds a verdict for a source "
+                f"assigned to shard {owner}: {text}"
+            )
+        previous = text
     visited_union: FrozenSet[bytes] = frozenset().union(
         *(shard.visited_digests for shard in ordered)
     )
     return _result(
-        verdicts,
+        tuple(verdict for _, _, verdict in keyed),
         sources=first.sources,
-        classes=first.classes,
         legitimate_states=first.legitimate_states,
         explored_states=first.legitimate_states + len(visited_union),
         elapsed_seconds=sum(shard.elapsed_seconds for shard in ordered),
         corrupt_fingerprint=first.corrupt_fingerprint,
         corruption=first.corruption,
         engine="batched",
-        reduce=first.reduce,
         sample=first.sample,
         seed=first.seed,
     )
@@ -940,10 +912,6 @@ def _emit_stabilization_gauges(result: StabilizationResult) -> None:
     if not obs.enabled():
         return
     obs.gauge_set("recovery.stabilization_sources", result.sources)
-    obs.gauge_set("recovery.stabilization_classes", result.classes)
-    obs.gauge_set(
-        "recovery.stabilization_reduction_ratio", result.reduction_ratio
-    )
     obs.gauge_set(
         "recovery.stabilization_non_stabilizing", result.non_stabilizing
     )

@@ -125,7 +125,6 @@ class ExploreRequest:
     max_states: int = 100_000
     include_drops: bool = True
     engine: str = "scalar"
-    reduce: bool = False
 
     kind = "explore"
     cache_kind = "explore"
@@ -136,7 +135,7 @@ class ExploreRequest:
     ) -> "ExploreRequest":
         known = {
             "protocol", "channel", "input", "max_states",
-            "include_drops", "engine", "reduce",
+            "include_drops", "engine",
         }
         unknown = set(params) - known
         if unknown:
@@ -148,11 +147,6 @@ class ExploreRequest:
         if engine not in ENGINES:
             raise BadRequest(
                 f"unknown engine {engine!r}", field="engine", known=list(ENGINES)
-            )
-        reduce = bool(_field(params, "reduce", False, bool))
-        if reduce and engine != "batched":
-            raise BadRequest(
-                "reduce=true requires engine='batched'", field="reduce"
             )
         max_states = int(_field(params, "max_states", 100_000, int))
         if max_states < 1:
@@ -172,7 +166,6 @@ class ExploreRequest:
             max_states=max_states,
             include_drops=bool(_field(params, "include_drops", True, bool)),
             engine=engine,
-            reduce=reduce,
         )
         request.system()  # registry validation at the front door
         return request
@@ -187,7 +180,6 @@ class ExploreRequest:
             self.system(),
             max_states=self.max_states,
             include_drops=self.include_drops,
-            reduce=self.reduce,
         )
 
     def sweep_cells(self):
@@ -207,7 +199,6 @@ class ExploreRequest:
             inputs=(self.items,),
             max_states=self.max_states,
             include_drops=self.include_drops,
-            reduce=self.reduce,
         )
         return plan_sweep(spec).cells
 
@@ -222,7 +213,6 @@ class ExploreRequest:
             include_drops=self.include_drops,
             cache=cache,
             engine=self.engine,
-            reduce=self.reduce,
         )
         return self.outcome(report)
 
@@ -273,7 +263,6 @@ class StabilizeRequest:
     sample: Optional[int] = None
     seed: int = 0
     engine: str = "batched"
-    reduce: bool = False
     capacity: int = 1
 
     kind = "stabilize"
@@ -286,7 +275,7 @@ class StabilizeRequest:
         known = {
             "protocol", "channel", "input", "domain", "max_states",
             "include_drops", "corruption", "channel_depth", "sample",
-            "seed", "engine", "reduce", "capacity",
+            "seed", "engine", "capacity",
         }
         unknown = set(params) - known
         if unknown:
@@ -342,7 +331,6 @@ class StabilizeRequest:
             sample=sample,
             seed=int(_field(params, "seed", 0, int)),
             engine=str(engine),
-            reduce=bool(_field(params, "reduce", False, bool)),
             capacity=int(_field(params, "capacity", 1, int)),
         )
         request.system()
@@ -379,7 +367,6 @@ class StabilizeRequest:
             channel_depth=self.channel_depth,
             sample=self.sample,
             seed=self.seed,
-            reduce=self.reduce,
             domain=self.domain,
         )
 
@@ -401,7 +388,6 @@ class StabilizeRequest:
             inputs=(self.items,),
             max_states=self.max_states,
             include_drops=self.include_drops,
-            reduce=self.reduce,
             corruption=self.corruption,
             channel_depth=self.channel_depth,
             sample=self.sample,
@@ -423,7 +409,6 @@ class StabilizeRequest:
                 self.system(),
                 cache=cache,
                 engine=self.engine,
-                reduce=self.reduce,
                 sample=self.sample,
                 seed=self.seed,
                 max_states=self.max_states,

@@ -23,15 +23,7 @@ on), so a cell verified warm by any worker -- or by a plain serial run
 from repro.verify.safety import check_safety, SafetyVerdict
 from repro.verify.liveness import check_liveness, LivenessVerdict
 from repro.verify.explorer import explore, explore_compiled, ExplorationReport
-from repro.kernel.frontier import (
-    FRONTIER_SCHEMA,
-    FrontierSnapshot,
-    canonical_state_key,
-    explore_batched,
-    explore_batched_resumable,
-    explore_multi_source_batched,
-    stabilization_state_key,
-)
+from repro.kernel.frontier import explore_batched, explore_multi_source_batched
 from repro.verify.deadlock import (
     assert_outage_recoverable,
     find_liveness_trap,
@@ -53,13 +45,8 @@ __all__ = [
     "explore",
     "explore_compiled",
     "ExplorationReport",
-    "FRONTIER_SCHEMA",
-    "FrontierSnapshot",
-    "canonical_state_key",
     "explore_batched",
-    "explore_batched_resumable",
     "explore_multi_source_batched",
-    "stabilization_state_key",
     "assert_outage_recoverable",
     "find_liveness_trap",
     "DeadlockReport",

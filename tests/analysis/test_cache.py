@@ -13,10 +13,12 @@ from repro.analysis.cache import (
     ResultCache,
     cached_explore,
     canonical,
+    explore_report_key,
     fingerprint,
     system_fingerprint,
 )
 from repro.channels import DeletingChannel, DuplicatingChannel
+from repro.fabric.sweep import build_explore_system
 from repro.kernel.rng import DeterministicRNG
 from repro.kernel.system import System
 from repro.kernel.types import Multiset
@@ -68,6 +70,13 @@ class TestFingerprint:
     def test_system_fingerprint_equal_for_equal_systems(self):
         assert system_fingerprint(make_system()) == system_fingerprint(
             make_system()
+        )
+
+    def test_explore_report_key_is_pinned(self):
+        """Stores stay warm across releases only while this key holds."""
+        system = build_explore_system("norepeat", "dup", ("a", "b"))
+        assert explore_report_key(system, max_states=100_000) == (
+            "3d4bd6c108f3e9a6d1d8ac3ce835b92b341eacbfd57adc1d9993188ccb367a9e"
         )
 
 
@@ -232,7 +241,3 @@ class TestCachedExplore:
     def test_unknown_engine_is_rejected(self):
         with pytest.raises(ValueError, match="engine"):
             cached_explore(make_system(), engine="gpu")
-
-    def test_reduce_requires_batched(self):
-        with pytest.raises(ValueError, match="reduce"):
-            cached_explore(make_system(), engine="scalar", reduce=True)

@@ -2,9 +2,9 @@
 
 Covers the ``stp-repro cache`` subcommand (stats / clear / prune), the
 ``explore`` subcommand's engine switches, and the cache-layer contracts
-the frontier engine added: unreduced batched runs share the scalar
-report key (cross-engine hits), reduced runs get their own key, and
-truncated frontier snapshots are resumed instead of recomputed.
+the frontier engine added: batched runs share the scalar report key
+(cross-engine hits), and a cold run stores one report and one compiled
+table, nothing else.
 """
 
 from __future__ import annotations
@@ -14,17 +14,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.cache import (
-    ResultCache,
-    cached_explore,
-    fingerprint,
-    system_fingerprint,
-)
+from repro.analysis.cache import ResultCache, cached_explore
 from repro.channels import DuplicatingChannel
 from repro.cli import main
 from repro.kernel.system import System
 from repro.protocols.norepeat import norepeat_protocol
-from repro.verify import FrontierSnapshot
 
 
 def build_system(input_sequence=("a", "b")):
@@ -84,8 +78,8 @@ class TestCacheSubcommand:
             ["cache", "stats", "--cache-dir", str(root), "--json"]
         ) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["entries"] >= 2  # report + frontier snapshot
-        assert set(stats["kinds"]) >= {"explore", "frontier"}
+        assert stats["entries"] == 2  # report + compiled table
+        assert set(stats["kinds"]) == {"explore", "compiled"}
 
     def test_clear_empties_the_store(self, tmp_path, capsys):
         root = tmp_path / "cache"
@@ -142,69 +136,26 @@ class TestEngineAwareCachedExplore:
         assert cache.stats()["hits"] == hits_before + 1
         assert strip_timing(scalar) == strip_timing(batched)
 
-    def test_reduced_key_is_separate(self, tmp_path):
+    def test_cold_batched_writes_one_report_and_one_table(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        unreduced = cached_explore(
+        writes = []
+        write = cache.store.write
+
+        def recording_write(kind, key, data):
+            writes.append(kind)
+            return write(kind, key, data)
+
+        cache.store.write = recording_write
+        cached_explore(
             build_system(("a", "b", "c")), cache=cache, engine="batched"
         )
-        reduced = cached_explore(
-            build_system(("a", "b", "c")),
-            cache=cache,
-            engine="batched",
-            reduce=True,
-        )
-        assert reduced.all_safe == unreduced.all_safe
-        assert (
-            reduced.completion_reachable == unreduced.completion_reachable
-        )
-        # Same key would have returned the unreduced report verbatim.
-        again = cached_explore(
-            build_system(("a", "b", "c")),
-            cache=cache,
-            engine="batched",
-            reduce=True,
-        )
-        assert strip_timing(again) == strip_timing(reduced)
-
-    def test_truncated_snapshot_resumes_under_bigger_budget(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        base = system_fingerprint(build_system(("a", "b", "c")))
-        truncated = cached_explore(
-            build_system(("a", "b", "c")),
-            max_states=5,
-            cache=cache,
-            engine="batched",
-        )
-        assert truncated.truncated
-        snapshot_key = fingerprint("frontier", base, True)
-        stored = cache.get("frontier", snapshot_key)
-        assert isinstance(stored, FrontierSnapshot)
-        assert stored.truncated and stored.expanded == 5
-        full = cached_explore(
-            build_system(("a", "b", "c")),
-            cache=cache,
-            engine="batched",
-        )
-        assert not full.truncated
-        fresh = cached_explore(build_system(("a", "b", "c")))
-        assert strip_timing(full) == strip_timing(fresh)
-        resumed = cache.get("frontier", snapshot_key)
-        assert isinstance(resumed, FrontierSnapshot)
-        assert not resumed.truncated
-        assert len(resumed.lineage) == 2  # chained onto the budget-5 cut
-        assert stored.fingerprint == base
+        assert sorted(writes) == ["compiled", "explore"]
 
     def test_engine_validation(self, tmp_path):
         with pytest.raises(ValueError, match="engine"):
             cached_explore(build_system(), engine="warp")
-        with pytest.raises(ValueError, match="reduce"):
-            cached_explore(build_system(), reduce=True)
 
     def test_no_cache_direct_paths(self):
         scalar = cached_explore(build_system())
         batched = cached_explore(build_system(), engine="batched")
-        reduced = cached_explore(
-            build_system(), engine="batched", reduce=True
-        )
         assert strip_timing(batched) == strip_timing(scalar)
-        assert reduced.all_safe == scalar.all_safe

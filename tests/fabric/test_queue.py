@@ -102,6 +102,21 @@ class TestTicketLifecycle:
         assert sorted(claimed) == [f"cell-{i}" for i in range(5)]
         assert queue.claim() is None
 
+    def test_claims_in_sorted_id_order_and_skips_non_tickets(self, tmp_path):
+        queue = make_queue(tmp_path)
+        for cell_id in ("cell-c", "cell-a", "cell-b"):
+            queue.enqueue(cell_id)
+        pending = queue.root / "pending"
+        # An in-flight atomic write and a stray non-JSON file sort first.
+        (pending / ".cell-0.123.456.abcd.tmp").write_text("{}")
+        (pending / "cell-0.txt").write_text("{}")
+        claimed = [queue.claim()["cell_id"] for _ in range(3)]
+        assert claimed == ["cell-a", "cell-b", "cell-c"]
+        assert queue.claim() is None
+        assert sorted(os.listdir(pending)) == [
+            ".cell-0.123.456.abcd.tmp", "cell-0.txt",
+        ]
+
     def test_failed_attempt_requeues_with_attempt_bump(self, tmp_path):
         queue = make_queue(tmp_path, max_attempts=3)
         queue.enqueue("cell-1")

@@ -95,6 +95,12 @@ class TestSweepSpec:
         with pytest.raises(FabricError, match="frobnicate"):
             SweepSpec.from_dict(payload)
 
+    def test_retired_reduce_field_rejected(self):
+        payload = explore_spec().to_dict()
+        payload["reduce"] = False
+        with pytest.raises(FabricError, match="reduce"):
+            SweepSpec.from_dict(payload)
+
     def test_member_domain_is_sorted_union_with_extras(self):
         spec = SweepSpec(
             kind="stabilize", protocols=("ss-arq",),
@@ -152,6 +158,12 @@ class TestPlanDeterminism:
         with pytest.raises(FabricError, match="mystery"):
             SweepCell.from_dict(payload)
 
+    def test_cell_rejects_retired_reduce_field(self):
+        payload = plan_sweep(explore_spec()).cells[0].to_dict()
+        payload["reduce"] = False
+        with pytest.raises(FabricError, match="reduce"):
+            SweepCell.from_dict(payload)
+
 
 class TestCellKindRegistry:
     def test_registered_kinds(self):
@@ -177,6 +189,20 @@ class TestCellKindRegistry:
         )
         with pytest.raises(FabricError, match="does not match"):
             execute_sweep_cell(forged, cache, CompiledTableCache(cache))
+
+    def test_explore_cell_writes_its_report_and_table_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        writes = []
+        write = cache.store.write
+
+        def recording_write(kind, key, data):
+            writes.append(kind)
+            return write(kind, key, data)
+
+        cache.store.write = recording_write
+        cell = plan_sweep(explore_spec()).cells[0]
+        execute_sweep_cell(cell, cache, CompiledTableCache(cache))
+        assert sorted(writes) == [COMPILED_KIND, "explore"]
 
 
 class TestExploreSweepByteIdentity:

@@ -67,19 +67,3 @@ class TestFrontierGauges:
             metrics = registry.to_dict()
             assert metrics["frontier.depth"]["value"] >= 1
             assert metrics["frontier.width"]["value"] >= 1
-            # Unreduced run: no reduction ratio is published.
-            assert "frontier.reduction_ratio" not in metrics
-
-    def test_reduced_run_emits_reduction_ratio(self):
-        sender, receiver = protocol_by_name("norepeat", ("a", "b"), 2)
-        system = System(
-            sender,
-            receiver,
-            channel_by_name("dup"),
-            channel_by_name("dup"),
-            ("a", "b"),
-        )
-        with obs.scoped() as (_, registry):
-            explore_batched(system, reduce=True)
-            metrics = registry.to_dict()
-            assert metrics["frontier.reduction_ratio"]["value"] >= 1.0

@@ -64,12 +64,17 @@ def test_unknown_engine_is_bad_request():
             _parse("explore", protocol="norepeat", channel="dup", engine=engine)
 
 
-def test_reduce_requires_batched_engine():
-    with pytest.raises(BadRequest, match="reduce"):
-        _parse(
-            "explore", protocol="norepeat", channel="dup",
-            engine="scalar", reduce=True,
-        )
+def test_retired_reduce_parameter_is_bad_request():
+    # Symmetry reduction is gone; old clients may still send the flag.
+    for kind, params in (
+        ("explore", {"protocol": "norepeat", "channel": "dup"}),
+        ("stabilize", {"protocol": "ss-arq", "channel": "lossy-fifo"}),
+    ):
+        for engine in ("scalar", "batched"):
+            with pytest.raises(BadRequest, match="reduce") as info:
+                _parse(kind, engine=engine, reduce=True, **params)
+            assert "reduce" not in info.value.details["known"]
+            assert "engine" in info.value.details["known"]
 
 
 def test_unknown_corruption_mode_is_bad_request():
@@ -151,7 +156,6 @@ def test_explore_job_key_matches_public_key_function():
         request.system(),
         max_states=request.max_states,
         include_drops=request.include_drops,
-        reduce=request.reduce,
     )
 
 
@@ -168,7 +172,6 @@ def test_stabilize_job_key_matches_public_key_function():
         channel_depth=request.channel_depth,
         sample=request.sample,
         seed=request.seed,
-        reduce=request.reduce,
         domain=request.domain,
     )
 

@@ -1,17 +1,12 @@
-"""Property sweep: the frontier engines match the scalar one.
+"""Property sweep: the frontier engine matches the scalar one.
 
-Contracts, each swept over every registered protocol crossed with every
-registered channel and a family of small inputs:
+Swept over every registered protocol crossed with every registered
+channel and a family of small inputs: :func:`explore_batched` is
+**bit-identical** to :func:`explore_compiled` in every non-timing field,
+including under truncating budgets (the order-sensitive cases delegate
+to the scalar engine, so even violation paths match).
 
-* unreduced :func:`explore_batched` is **bit-identical** to
-  :func:`explore_compiled` in every non-timing field, including under
-  truncating budgets (the order-sensitive cases delegate to the scalar
-  engine, so even violation paths match);
-* symmetry reduction (``reduce=True``) never changes the Safety /
-  completion verdicts, only the state *count* (concrete states collapse
-  to canonical classes).
-
-This is the soundness evidence behind using the frontier engines for
+This is the soundness evidence behind using the frontier engine for
 the paper's exhaustive T2/T4 verification columns.
 """
 
@@ -75,21 +70,3 @@ class TestBatchedEquivalence:
                 max_states=budget,
             )
             assert strip_timing(batched) == strip_timing(scalar), budget
-
-    def test_reduction_preserves_verdicts(
-        self, protocol, channel, input_sequence
-    ):
-        scalar = explore_compiled(
-            build_system(protocol, channel, input_sequence),
-            max_states=MAX_STATES,
-        )
-        reduced = explore_batched(
-            build_system(protocol, channel, input_sequence),
-            max_states=MAX_STATES,
-            reduce=True,
-        )
-        assert reduced.all_safe == scalar.all_safe
-        assert reduced.completion_reachable == scalar.completion_reachable
-        if not scalar.truncated and not reduced.truncated:
-            # Quotienting can only merge states, never invent them.
-            assert reduced.states <= scalar.states
