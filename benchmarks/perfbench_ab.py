@@ -17,6 +17,11 @@ The exit status is 1 if any run is not ``correct`` or failed an
 operation, or if any ``end_to_end`` metric's HEAD median is worse than
 its BASE median by more than the metric's ``bound`` (a fraction of the
 BASE median) in the metric's ``better`` direction.  Otherwise it is 0.
+
+Next to each median the script prints in how many pairs HEAD was
+better, pairing the two runs of one seed: a median that moved while
+the pairs split evenly is noise, and a tally far from even on identical
+code is a lean of the host, not of the program.
 """
 
 from __future__ import annotations
@@ -102,6 +107,27 @@ def medians(
                 )
 
 
+def better_pairs(
+    metric: dict, sides: Dict[str, List[dict]]
+) -> Tuple[int, int]:
+    """``(pairs where HEAD is better, pairs compared)`` for one metric.
+
+    Run ``i`` of each side is pair ``i`` (seed ``i + 1``); a pair where
+    either run lacks the metric is not compared, and a tie is not
+    "better".
+    """
+    name = metric["name"]
+    pairs = [
+        (base["metrics"][name]["value"], head["metrics"][name]["value"])
+        for base, head in zip(sides["base"], sides["head"])
+        if name in base["metrics"] and name in head["metrics"]
+    ]
+    better = sum(
+        1 for base, head in pairs if worsening(base, head, metric["better"]) < 0
+    )
+    return better, len(pairs)
+
+
 def compare(bench: dict, results: Dict[str, Dict[str, List[dict]]]) -> List[str]:
     """Why HEAD fails the A/B; empty when it passes.
 
@@ -167,10 +193,12 @@ def main(argv=None) -> int:
     print(f"medians over {PAIRS} pairs per workload (HEAD vs BASE):")
     for workload, metric, base, head in medians(bench, results):
         worse = worsening(base, head, metric["better"])
+        better, pairs = better_pairs(metric, results[workload])
         print(
             f"  {workload:<14} {metric['name']:<12} base {base:10.4g} "
             f"head {head:10.4g} {metric['unit']:<3} worse by {worse:+7.1%} "
-            f"(bound {metric['bound']:.0%})"
+            f"(bound {metric['bound']:.0%}), "
+            f"HEAD better in {better} of {pairs} pairs"
         )
     problems = compare(bench, results)
     for problem in problems:

@@ -65,7 +65,7 @@ def main() -> None:
         DuplicatingChannel(),
         DuplicatingChannel(),
         doomed_family,
-    )
+    ).witness
     assert witness is not None, "Theorem 1 guarantees an attack exists"
     print(f"   victim input:      {witness.input_sequence!r}")
     print(f"   confused with:     {witness.other_sequence!r}")

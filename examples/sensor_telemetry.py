@@ -89,7 +89,7 @@ def main() -> None:
         DuplicatingChannel(),
         reduced_profiles,
         max_states=300_000,
-    )
+    ).witness
     assert witness is not None, "Theorem 1 says this must be attackable"
     print(
         f"   {len(reduced_profiles)} profiles over {needed - 1} packets: "

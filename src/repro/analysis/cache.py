@@ -248,22 +248,6 @@ def stabilize_report_key(
     )
 
 
-def stabilize_shard_key(report_key: str, shard_index: int, shard_count: int) -> str:
-    """The cache key of one corrupted-start shard of a stabilization run.
-
-    A stabilize sweep cell computes the verdicts for one partition of
-    the corrupt set's sources (see
-    :func:`repro.resilience.stabilize.shard_of_source`) and stores them
-    under this key; the merge step reassembles the shards into the
-    single-host :class:`StabilizationResult` and publishes it under the
-    plain ``"stabilize"`` / :func:`stabilize_report_key` address -- so a
-    sweep warms :func:`cached_stabilize` and vice versa.
-    """
-    return fingerprint(
-        "stabilize-shard", report_key, int(shard_index), int(shard_count)
-    )
-
-
 class ResultCache:
     """Content-addressed pickle caching with hit/miss accounting.
 
@@ -545,13 +529,14 @@ def _revive_table(cache: ResultCache, system, base: str):
 class CompiledTableCache:
     """Per-worker in-process LRU of compiled tables over the shared store.
 
-    The compile-once-fleet-wide discipline for sweep workers: the first
-    toucher of a distinct system compiles its
+    The compile-once-fleet-wide discipline for explore sweep workers:
+    the first toucher of a distinct system compiles its
     :class:`~repro.kernel.compiled.CompiledSystem` (counted in
-    ``compiled``) and should :meth:`publish` the snapshot; every later
-    toucher revives instead -- from this process's LRU first, then from
-    the shared store's :data:`COMPILED_KIND` entry (both counted in
-    ``reused`` and in the ``fabric.compile_reuse`` metric).  A 100-cell
+    ``compiled``), and :func:`cached_explore` stores the grown snapshot;
+    every later toucher revives instead -- from this process's LRU
+    first, then from the shared store's :data:`COMPILED_KIND` entry
+    (both counted in ``reused`` and in the ``fabric.compile_reuse``
+    metric).  A 100-cell
     sweep over a handful of distinct systems therefore compiles each
     system once across the whole fleet, not once per cell.
 
@@ -602,10 +587,11 @@ class CompiledTableCache:
     def publish(self, base: str, table) -> None:
         """Snapshot ``table`` into the shared store for sibling workers.
 
-        Call after the table has been *grown* by real work (exploration
-        interns states lazily), so the published blob carries the rows a
-        sibling is about to need.  Publishing is last-write-wins and
-        any complete snapshot is correct, so racing workers are safe.
+        Nothing in the library calls this since stabilize sweeps stopped
+        sharding (``cached_explore`` stores its own snapshot); the name
+        stays because ``perfbench/tracing.py`` wraps it.  Publishing is
+        last-write-wins and any complete snapshot is correct, so racing
+        workers are safe.
         """
         if self.cache is not None:
             self.cache.put(COMPILED_KIND, base, table.snapshot())

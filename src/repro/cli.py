@@ -243,11 +243,15 @@ def _cmd_attack(args) -> int:
         DeletingChannel(max_copies=2) if args.channel == "del"
         else DuplicatingChannel()
     )
-    witness = find_attack_on_family(
+    search = find_attack_on_family(
         sender, receiver, channel, channel, family, max_states=args.max_states
     )
+    witness = search.witness
     if witness is None:
-        print("no witness found within the search budget")
+        print(
+            f"no witness: search {search.status} after "
+            f"{search.product_states} product states"
+        )
         return 1
     replay_witness(sender, receiver, channel, channel, witness)
     print(f"victim input:    {witness.input_sequence!r}")
@@ -824,10 +828,7 @@ def _fabric_sweep(args) -> int:
         spec = SweepSpec.from_dict(payload)
     else:
         spec = demo_sweep_spec(
-            kind=args.kind,
-            members=args.members,
-            length=args.length,
-            shards=args.shards,
+            kind=args.kind, members=args.members, length=args.length
         )
     cache = ResultCache(args.cache_dir)
     plan = plan_sweep(spec)
@@ -1315,10 +1316,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     fabric_sweep.add_argument(
         "--length", type=int, default=4,
         help="longest demo input sequence",
-    )
-    fabric_sweep.add_argument(
-        "--shards", type=int, default=4,
-        help="shards per stabilize member (demo spec)",
     )
     fabric_sweep.add_argument("--workers", type=int, default=2)
     fabric_sweep.add_argument(

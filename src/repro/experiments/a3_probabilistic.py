@@ -102,7 +102,7 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
                 first,
                 second,
                 max_states=400_000,
-            )
+            ).witness
             attack_exists: object = witness is not None
             if witness is not None:
                 attack_exists = not replay_witness(

@@ -62,7 +62,7 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
             DuplicatingChannel(),
             family,
             max_states=400_000,
-        )
+        ).witness
         elapsed = time.time() - started
         confirmed = witness is not None and not replay_witness(
             sender, receiver, DuplicatingChannel(), DuplicatingChannel(), witness
@@ -106,7 +106,7 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
             first,
             second,
             max_states=400_000,
-        )
+        ).witness
         elapsed = time.time() - started
         confirmed = witness is not None and not replay_witness(
             sender, receiver, DuplicatingChannel(), DuplicatingChannel(), witness

@@ -70,7 +70,7 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
                 DuplicatingChannel(),
                 family,
                 max_states=300_000,
-            )
+            ).witness
             confirmed = False
             if witness is not None:
                 replay = replay_witness(

@@ -77,7 +77,7 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
                 family,
                 max_states=400_000,
                 include_drops=True,
-            )
+            ).witness
             if witness is not None:
                 replay = replay_witness(sender, receiver, channel, channel, witness)
                 confirmed = not replay.safe

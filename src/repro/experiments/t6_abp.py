@@ -93,7 +93,7 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
             attack_pair[0],
             attack_pair[1],
             max_states=400_000,
-        )
+        ).witness
         confirmed = False
         if witness is not None:
             confirmed = not replay_witness(

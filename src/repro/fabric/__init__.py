@@ -18,7 +18,7 @@ The pieces, importable a la carte:
 * :mod:`repro.fabric.sweep` -- :class:`SweepSpec` / :func:`plan_sweep`,
   the explore/stabilize family -> cell decomposition;
 * :mod:`repro.fabric.cells` -- the typed cell-kind registry and the
-  sweep-cell executors (compiled-table reuse, shard merging);
+  sweep-cell executors (one cell per member, compiled-table reuse);
 * :mod:`repro.fabric.queue` -- :class:`WorkQueue`, lease/claim/
   heartbeat/requeue via atomic renames, no server;
 * :mod:`repro.fabric.worker` -- :class:`FabricWorker`, the pull loop;
@@ -71,7 +71,6 @@ _EXPORTS: Dict[str, str] = {
     # cells
     "CELL_KINDS": "repro.fabric.cells",
     "CellKindSpec": "repro.fabric.cells",
-    "STABILIZE_SHARD_KIND": "repro.fabric.cells",
     "cell_kind": "repro.fabric.cells",
     "execute_sweep_cell": "repro.fabric.cells",
     "kind_of_ticket": "repro.fabric.cells",

@@ -10,38 +10,31 @@ kind       cell payload kind    merged kind       planned by
 ========== ==================== ================= =========================
 campaign   ``run``              ``campaign``      :mod:`repro.fabric.planner`
 explore    ``explore``          --                :mod:`repro.fabric.sweep`
-stabilize  ``stabilize-shard``  ``stabilize``     :mod:`repro.fabric.sweep`
+stabilize  ``stabilize``        --                :mod:`repro.fabric.sweep`
 ========== ==================== ================= =========================
 
 Campaign cells keep their PR 8 execution path (fork-supervised single
 runs bound to a loaded plan); the sweep kinds are executed here, from
-self-describing :class:`~repro.fabric.sweep.SweepCell` payloads, with
-the compiled-table discipline that makes a fleet fast: each worker keeps
-a :class:`~repro.analysis.cache.CompiledTableCache`, so a distinct
-system is compiled once fleet-wide and revived everywhere else.
-
-Stabilize shards also merge *opportunistically*: the worker that
-completes a member's last outstanding shard reassembles and publishes
-the full :class:`StabilizationResult` under the member's
-``stabilize`` report key, so a drained queue needs no separate merge
-pass before ``cached_stabilize`` runs warm.  Racing last-workers are
-safe -- the merge is deterministic over the stored shard payloads, so
-both publish identical bytes.
+self-describing :class:`~repro.fabric.sweep.SweepCell` payloads.  A
+sweep cell is one family member, run through exactly the serial path
+(:func:`~repro.analysis.cache.cached_explore` /
+:func:`~repro.analysis.cache.cached_stabilize`), so its stored result
+*is* the member result.  Explore cells also keep the compiled-table
+discipline that makes a fleet fast: each worker keeps a
+:class:`~repro.analysis.cache.CompiledTableCache`, so a distinct system
+is compiled once fleet-wide and revived everywhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro import obs
 from repro.analysis.cache import (
     CompiledTableCache,
     ResultCache,
     explore_report_key,
     stabilize_report_key,
-    stabilize_shard_key,
-    system_fingerprint,
 )
 from repro.fabric.planner import CAMPAIGN_CELL_KIND, CAMPAIGN_OUTCOME_KIND
 from repro.fabric.spec import FabricError
@@ -51,10 +44,6 @@ from repro.fabric.sweep import (
     build_stabilize_system,
 )
 
-#: Cache kind holding stabilize shard payloads.
-STABILIZE_SHARD_KIND = "stabilize-shard"
-
-
 @dataclass(frozen=True)
 class CellKindSpec:
     """One registered cell kind.
@@ -62,8 +51,8 @@ class CellKindSpec:
     Attributes:
         name: the kind tag carried in queue tickets.
         result_kind: cache kind of the per-cell payload.
-        merged_kind: cache kind of the member-level merged result, or
-            None when cells *are* member results (explore).
+        merged_kind: cache kind of the merged result, or None when
+            cells *are* member results (explore, stabilize).
         description: one line for status displays.
     """
 
@@ -88,9 +77,9 @@ CELL_KINDS: Dict[str, CellKindSpec] = {
     ),
     "stabilize": CellKindSpec(
         name="stabilize",
-        result_kind=STABILIZE_SHARD_KIND,
-        merged_kind="stabilize",
-        description="one shard of a corrupted-start verdict sheet",
+        result_kind="stabilize",
+        merged_kind=None,
+        description="one member's corrupted-start verdict sheet",
     ),
 }
 
@@ -106,19 +95,12 @@ def cell_kind(name: str) -> CellKindSpec:
 
 
 def sweep_cell_warm(cell: SweepCell, cache: ResultCache) -> bool:
-    """True when ``cell``'s work is already in the store.
+    """True when ``cell``'s member result is already in the store.
 
-    Explore cells probe their report; stabilize shards probe the shard
-    payload *and* the member's merged result -- either satisfies the
-    cell, which is what makes a sweep warmed by a single-host
-    ``cached_stabilize`` (any engine, any shard count) claim nothing.
+    Whichever path stored it -- a fabric worker, ``serial_sweep`` or a
+    plain ``cached_*`` call -- satisfies the cell.
     """
-    kind = cell_kind(cell.kind)
-    if cache.get(kind.result_kind, cell.cell_id) is not None:
-        return True
-    if kind.merged_kind is not None:
-        return cache.get(kind.merged_kind, cell.result_key) is not None
-    return False
+    return cache.get(cell_kind(cell.kind).result_kind, cell.cell_id) is not None
 
 
 def _check(condition: bool, message: str) -> None:
@@ -143,7 +125,7 @@ def execute_sweep_cell(
     if cell.kind == "explore":
         _execute_explore(cell, cache, tables, heartbeat)
     elif cell.kind == "stabilize":
-        _execute_stabilize(cell, cache, tables, heartbeat)
+        _execute_stabilize(cell, cache, heartbeat)
     else:
         raise FabricError(
             f"cell kind {cell.kind!r} has no sweep executor"
@@ -185,15 +167,9 @@ def _execute_explore(
 
 
 def _execute_stabilize(
-    cell: SweepCell,
-    cache: ResultCache,
-    tables: CompiledTableCache,
-    heartbeat=None,
+    cell: SweepCell, cache: ResultCache, heartbeat=None
 ) -> None:
-    from repro.resilience.stabilize import (
-        analyze_stabilization_shard,
-        projected_system,
-    )
+    from repro.analysis.cache import cached_stabilize
 
     system = build_stabilize_system(
         cell.protocol,
@@ -202,8 +178,7 @@ def _execute_stabilize(
         cell.domain,
         capacity=cell.capacity,
     )
-    report_key = stabilize_report_key(
-        system,
+    knobs: Dict[str, Any] = dict(
         max_states=cell.max_states,
         include_drops=cell.include_drops,
         corruption=cell.corruption,
@@ -212,73 +187,26 @@ def _execute_stabilize(
         seed=cell.seed,
         domain=cell.domain,
     )
+    report_key = stabilize_report_key(system, **knobs)
     _check(
-        report_key == cell.result_key,
-        f"stabilize cell {cell.cell_id[:12]} result key does not match "
-        "its parameters",
+        report_key == cell.result_key == cell.cell_id,
+        f"stabilize cell {cell.cell_id[:12]} does not match its parameters",
     )
-    _check(
-        stabilize_shard_key(report_key, cell.shard_index, cell.shard_count)
-        == cell.cell_id,
-        f"stabilize cell {cell.cell_id[:12]} shard key does not match "
-        "its parameters",
-    )
-    # The compiled table is for the *projected* system -- the graph the
-    # analysis actually walks -- keyed by its own fingerprint.
-    projected = projected_system(system)
-    base = system_fingerprint(projected)
-    table = tables.table_for(projected, base)
-    shard = analyze_stabilization_shard(
-        system,
-        cell.shard_index,
-        cell.shard_count,
-        sample=cell.sample,
-        seed=cell.seed,
-        max_states=cell.max_states,
-        channel_depth=cell.channel_depth,
-        include_drops=cell.include_drops,
-        corruption=cell.corruption,
-        table=table,
-        heartbeat=heartbeat,
-    )
-    cache.put(STABILIZE_SHARD_KIND, cell.cell_id, shard)
-    tables.publish(base, table)
-    merge_stabilize_member(cell, cache)
+    if heartbeat is not None:
+        heartbeat()
+    # The serial path: one analysis, one ``stabilize`` entry.
+    cached_stabilize(system, cache=cache, engine="batched", **knobs)
 
 
 def merge_stabilize_member(
     cell: SweepCell, cache: ResultCache
 ) -> Optional[object]:
-    """Merge and publish the member's result if every shard is stored.
+    """The member's stored :class:`StabilizationResult`, or None.
 
-    The opportunistic last-worker merge: called after each shard
-    completes, it probes the member's sibling shard keys and -- when all
-    ``shard_count`` payloads are present -- publishes the merged
-    :class:`StabilizationResult` under the member's ``stabilize``
-    report key.  Returns the merged result, or None while shards are
-    still outstanding.  Safe under races: every merger reads the same
-    stored payloads and publishes identical bytes.
+    Kept as a name ``perfbench/tracing.py`` wraps; a stabilize cell
+    stores its member result directly, so there is nothing to merge.
     """
-    from repro.resilience.stabilize import merge_stabilization_shards
-
-    merged = cache.get("stabilize", cell.result_key)
-    if merged is not None:
-        return merged
-    shards = []
-    for shard_index in range(cell.shard_count):
-        payload = cache.get(
-            STABILIZE_SHARD_KIND,
-            stabilize_shard_key(
-                cell.result_key, shard_index, cell.shard_count
-            ),
-        )
-        if payload is None:
-            return None
-        shards.append(payload)
-    merged = merge_stabilization_shards(shards)
-    cache.put("stabilize", cell.result_key, merged)
-    obs.add("fabric.sweep.members_merged")
-    return merged
+    return cache.get("stabilize", cell.result_key)
 
 
 def kind_of_ticket(ticket: Dict[str, object]) -> str:
@@ -290,7 +218,6 @@ def kind_of_ticket(ticket: Dict[str, object]) -> str:
 
 
 __all__: Tuple[str, ...] = (
-    "STABILIZE_SHARD_KIND",
     "CellKindSpec",
     "CELL_KINDS",
     "cell_kind",

@@ -268,9 +268,9 @@ def run_sweep(
     Same shape as :func:`run_fabric`, but over explore/stabilize sweep
     cells: plan, enqueue cold cells (self-describing tickets), drive
     workers, then merge per-member results.  A sweep whose members were
-    all computed before -- by any engine, shard count, worker fleet, or
-    the plain ``cached_*`` single-host path -- enqueues nothing and
-    claims nothing.
+    all computed before -- by any engine, worker fleet, or the plain
+    ``cached_*`` single-host path -- enqueues nothing and claims
+    nothing.
     """
     if workers < 1:
         raise FabricError("workers must be >= 1")
@@ -317,7 +317,7 @@ def serial_sweep(spec: SweepSpec, cache: ResultCache) -> Dict[str, object]:
 
     Runs every family member through the plain cached analysis path --
     :func:`cached_explore` / :func:`cached_stabilize`, no queue, no
-    workers, no shards -- and returns the same ``{result_key: result}``
+    workers -- and returns the same ``{result_key: result}``
     mapping :func:`run_sweep` produces, in the same plan order.  The CI
     fabric-smoke leg renders both through
     :func:`~repro.fabric.merge.sweep_outcome_to_json` and asserts byte

@@ -9,12 +9,10 @@ address and the aggregation order is pinned by the plan.
 
 * :func:`merge_outcome` reassembles campaign cells into a
   :class:`CampaignOutcome` equal to ``Campaign.run``.
-* :func:`merge_sweep` reassembles sweep cells: explore members read
-  their reports straight from the store; stabilize members are merged
-  from their shard payloads via
-  :func:`~repro.resilience.stabilize.merge_stabilization_shards` (the
-  workers' opportunistic merge usually got there first) -- equal,
-  timing aside, to the single-host ``cached_stabilize`` result.
+* :func:`merge_sweep` reassembles sweep cells: every member reads its
+  report or verdict sheet straight from the store, where its one cell
+  put it -- equal, timing aside, to the single-host ``cached_explore`` /
+  ``cached_stabilize`` result.
 
 :func:`outcome_to_json` / :func:`sweep_outcome_to_json` render
 outcomes as canonical JSON (sorted keys, fixed separators, trailing
@@ -137,16 +135,12 @@ def merge_sweep(
     """Assemble per-member results for a drained sweep.
 
     Returns ``{result_key: report-or-result}`` in the plan's member
-    order (dicts preserve insertion order).  Explore members read their
-    :class:`~repro.verify.explorer.ExplorationReport` straight from the
-    store; stabilize members read the merged
-    :class:`~repro.resilience.stabilize.StabilizationResult`, falling
-    back to merging stored shards when the workers' opportunistic merge
-    lost a race to publish.  Missing members are polled for up to
-    ``wait_timeout`` seconds, then named in a :class:`FabricError`.
+    order (dicts preserve insertion order): each member's
+    :class:`~repro.verify.explorer.ExplorationReport` or
+    :class:`~repro.resilience.stabilize.StabilizationResult`, read from
+    the store under the spec's kind.  Missing members are polled for up
+    to ``wait_timeout`` seconds, then named in a :class:`FabricError`.
     """
-    from repro.fabric.cells import merge_stabilize_member
-
     members = list(plan.members())
     with obs.span("fabric.sweep.merge", members=len(members)):
         results: Dict[str, object] = {key: None for _, _, _, key in members}
@@ -157,14 +151,7 @@ def merge_sweep(
             for protocol, channel, items, result_key in members:
                 if results[result_key] is not None:
                     continue
-                if plan.spec.kind == "explore":
-                    payload = cache.get("explore", result_key)
-                else:
-                    payload = cache.get("stabilize", result_key)
-                    if payload is None:
-                        cells = plan.member_cells(result_key)
-                        if cells:
-                            payload = merge_stabilize_member(cells[0], cache)
+                payload = cache.get(plan.spec.kind, result_key)
                 if payload is None:
                     missing.append((protocol, channel, items, result_key))
                 else:
@@ -210,10 +197,10 @@ def _stabilize_payload(result) -> Dict[str, object]:
     """A timing-free, engine-free JSON projection of one verdict sheet.
 
     Drops ``engine`` on top of timing so the projection is
-    byte-identical no matter how the member was computed -- serial,
-    sharded 2-way, or sharded 4-way.  The full repr-sorted verdict sheet
-    is included: that is the field the byte-equality CI gate actually
-    proves distributed/serial agreement on.
+    byte-identical no matter how the member was computed -- serial or
+    by a fabric worker, on either engine.  The full repr-sorted verdict
+    sheet is included: that is the field the byte-equality CI gate
+    actually proves distributed/serial agreement on.
     """
     payload = dict(result.summary())
     payload.pop("engine", None)

@@ -10,10 +10,8 @@ workloads onto the same queue/store machinery:
 
   - ``"explore"`` -- one cell per member, whose cell id *is* the
     member's :func:`~repro.analysis.cache.explore_report_key`;
-  - ``"stabilize"`` -- ``shards`` cells per member, partitioning the
-    corrupt set's sources by
-    :func:`~repro.resilience.stabilize.shard_of_source`; each cell id is
-    the member's :func:`~repro.analysis.cache.stabilize_shard_key`.
+  - ``"stabilize"`` -- one cell per member, whose cell id *is* the
+    member's :func:`~repro.analysis.cache.stabilize_report_key`.
 
 * :func:`plan_sweep` expands the spec into a :class:`SweepPlan` of
   :class:`SweepCell`\\ s.  Cells are **self-describing**: every field an
@@ -24,9 +22,9 @@ workloads onto the same queue/store machinery:
 
 Because cell ids are the live cache fingerprints, warm-anywhere holds in
 both directions: a sweep warmed by either engine (``scalar`` /
-``batched``, any shard count) yields zero claimed cells on re-run,
-and a drained sweep answers later ``cached_explore`` /
-``cached_stabilize`` calls from the store.
+``batched``) yields zero claimed cells on re-run, and a drained sweep
+answers later ``cached_explore`` / ``cached_stabilize`` calls from the
+store.
 
 The system builders here (:func:`build_explore_system` /
 :func:`build_stabilize_system`) are the single source of truth shared
@@ -37,14 +35,13 @@ sweep's cell ids can never drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.cache import (
     ResultCache,
     explore_report_key,
     fingerprint,
     stabilize_report_key,
-    stabilize_shard_key,
 )
 from repro.fabric.spec import FabricError
 
@@ -144,12 +141,19 @@ class SweepSpec:
     """A portable description of one explore/stabilize sweep grid.
 
     The grid is ``protocols x channels x inputs`` (every combination is
-    one *member*); the remaining fields are the analysis knobs, all part
-    of each member's result fingerprint.  ``shards`` > 1 splits each
-    stabilize member's corrupt set into that many cells (ignored by
-    explore sweeps); ``domain`` adds extra data items to each stabilize
-    member's data domain (the member domain is the sorted union of
-    its input items and these extras, exactly the service's rule).
+    one *member*, planned as one cell); the remaining fields are the
+    analysis knobs, all part of each member's result fingerprint.
+    ``domain`` adds extra data items to each stabilize member's data
+    domain (the member domain is the sorted union of its input items
+    and these extras, exactly the service's rule).
+
+    ``shards`` is retired: it is still accepted and validated (>= 1),
+    but the plan no longer depends on it.  Sharding a member's corrupt
+    set made every cell re-run the member's whole preparation and a BFS
+    reaching most of its illegitimate graph, so four shards cost
+    3.6-5.2x one single-host analysis and the average shard cost about
+    as much as the whole member: no worker count made a sharded member
+    finish sooner.
     """
 
     kind: str
@@ -191,11 +195,6 @@ class SweepSpec:
     @property
     def member_count(self) -> int:
         return len(self.protocols) * len(self.channels) * len(self.inputs)
-
-    @property
-    def cell_count(self) -> int:
-        per_member = self.shards if self.kind == "stabilize" else 1
-        return self.member_count * per_member
 
     def member_domain(self, items: Tuple[str, ...]) -> Tuple[str, ...]:
         """A stabilize member's data domain (service rule, verbatim)."""
@@ -245,13 +244,11 @@ class SweepSpec:
 class SweepCell:
     """One self-describing unit of sweep work.
 
-    ``cell_id`` is the cache fingerprint the cell's own payload is
-    stored under (an explore report key, or a stabilize shard key);
-    ``result_key`` is the *member* result's address -- equal to
-    ``cell_id`` for explore cells, and the merged
-    ``stabilize_report_key`` for stabilize shards.  Every analysis knob
-    rides along, so an executor reconstructs the system, recomputes both
-    keys, and refuses a cell whose id does not match its parameters.
+    ``cell_id`` is the cache fingerprint the cell's result is stored
+    under -- the member's explore or stabilize report key -- and
+    ``result_key`` repeats it as the member's address.  Every analysis
+    knob rides along, so an executor reconstructs the system, recomputes
+    the key, and refuses a cell whose id does not match its parameters.
     """
 
     cell_id: str
@@ -260,8 +257,6 @@ class SweepCell:
     channel: str
     input_sequence: Tuple[str, ...]
     result_key: str
-    shard_index: int = 0
-    shard_count: int = 1
     max_states: int = 100_000
     include_drops: bool = True
     corruption: str = "full"
@@ -280,8 +275,6 @@ class SweepCell:
             "channel": self.channel,
             "input": list(self.input_sequence),
             "result_key": self.result_key,
-            "shard_index": self.shard_index,
-            "shard_count": self.shard_count,
             "max_states": self.max_states,
             "include_drops": self.include_drops,
             "corruption": self.corruption,
@@ -310,9 +303,9 @@ class SweepPlan:
 
     Attributes:
         spec: the portable sweep description.
-        cells: every cell in member order (protocol-major, then channel,
-            then input; stabilize members contribute their shards in
-            shard order) -- the order the merge step reassembles.
+        cells: one cell per member, in member order (protocol-major,
+            then channel, then input) -- the order the merge step
+            reassembles.
         plan_fingerprint: binds queue tickets to this exact plan.
     """
 
@@ -340,7 +333,7 @@ class SweepPlan:
         return list(seen.values())
 
     def member_cells(self, result_key: str) -> Tuple[SweepCell, ...]:
-        """Every cell contributing to one member's result."""
+        """The cells computing one member's result."""
         return tuple(
             cell for cell in self.cells if cell.result_key == result_key
         )
@@ -384,6 +377,7 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
     """
     cells: List[SweepCell] = []
     for protocol, channel, items in spec.members():
+        knobs: Dict[str, Any] = {}
         if spec.kind == "explore":
             system = build_explore_system(protocol, channel, items)
             report_key = explore_report_key(
@@ -391,56 +385,42 @@ def plan_sweep(spec: SweepSpec) -> SweepPlan:
                 max_states=spec.max_states,
                 include_drops=spec.include_drops,
             )
-            cells.append(
-                SweepCell(
-                    cell_id=report_key,
-                    kind="explore",
-                    protocol=protocol,
-                    channel=channel,
-                    input_sequence=items,
-                    result_key=report_key,
-                    max_states=spec.max_states,
-                    include_drops=spec.include_drops,
-                )
+        else:
+            domain = spec.member_domain(items)
+            system = build_stabilize_system(
+                protocol, channel, items, domain, capacity=spec.capacity
             )
-            continue
-        member_domain = spec.member_domain(items)
-        system = build_stabilize_system(
-            protocol, channel, items, member_domain, capacity=spec.capacity
-        )
-        report_key = stabilize_report_key(
-            system,
-            max_states=spec.max_states,
-            include_drops=spec.include_drops,
-            corruption=spec.corruption,
-            channel_depth=spec.channel_depth,
-            sample=spec.sample,
-            seed=spec.seed,
-            domain=member_domain,
-        )
-        for shard_index in range(spec.shards):
-            cells.append(
-                SweepCell(
-                    cell_id=stabilize_shard_key(
-                        report_key, shard_index, spec.shards
-                    ),
-                    kind="stabilize",
-                    protocol=protocol,
-                    channel=channel,
-                    input_sequence=items,
-                    result_key=report_key,
-                    shard_index=shard_index,
-                    shard_count=spec.shards,
-                    max_states=spec.max_states,
-                    include_drops=spec.include_drops,
-                    corruption=spec.corruption,
-                    channel_depth=spec.channel_depth,
-                    sample=spec.sample,
-                    seed=spec.seed,
-                    capacity=spec.capacity,
-                    domain=member_domain,
-                )
+            report_key = stabilize_report_key(
+                system,
+                max_states=spec.max_states,
+                include_drops=spec.include_drops,
+                corruption=spec.corruption,
+                channel_depth=spec.channel_depth,
+                sample=spec.sample,
+                seed=spec.seed,
+                domain=domain,
             )
+            knobs = dict(
+                corruption=spec.corruption,
+                channel_depth=spec.channel_depth,
+                sample=spec.sample,
+                seed=spec.seed,
+                capacity=spec.capacity,
+                domain=domain,
+            )
+        cells.append(
+            SweepCell(
+                cell_id=report_key,
+                kind=spec.kind,
+                protocol=protocol,
+                channel=channel,
+                input_sequence=items,
+                result_key=report_key,
+                max_states=spec.max_states,
+                include_drops=spec.include_drops,
+                **knobs,
+            )
+        )
     plan_fingerprint = fingerprint(
         "sweep-plan",
         SWEEP_SCHEMA,
@@ -459,10 +439,9 @@ def sweep_split_warm_cold(
 ) -> Tuple[List[SweepCell], List[SweepCell]]:
     """Partition the plan's cells into (warm, cold) against ``cache``.
 
-    An explore cell is warm when its report is stored; a stabilize shard
-    is warm when its shard payload *or* the member's fully merged result
-    is stored -- the latter is how a sweep over a set any engine already
-    analyzed single-host (any shard count) claims zero cells.
+    A cell is warm when its member's result is stored, whichever path
+    stored it -- a fabric worker, ``serial_sweep`` or a plain
+    ``cached_explore`` / ``cached_stabilize`` call.
     """
     from repro.fabric.cells import sweep_cell_warm
 
@@ -480,24 +459,23 @@ def demo_sweep_spec(
     kind: str = "explore",
     members: int = 6,
     length: int = 4,
-    shards: int = 4,
     max_states: int = 150_000,
 ) -> SweepSpec:
     """A small deterministic sweep for CLI demos, CI smoke, and benches.
 
     ``explore``: repetition-free prefixes of a ``length``-item alphabet
     over two protocols (member count = ``2 * min(members, length)``).
-    ``stabilize``: the ss-arq / bounded lossy-fifo corrupted-start
-    instance split into ``shards`` cells.
+    ``stabilize``: abp and ss-arq on the bounded lossy-fifo
+    corrupted-start instance with input ``ab`` -- two members, so two
+    workers drain them in parallel.
     """
     if kind == "stabilize":
         return SweepSpec(
             kind="stabilize",
-            protocols=("ss-arq",),
+            protocols=("abp", "ss-arq"),
             channels=("lossy-fifo",),
             inputs=(("a", "b"),),
             max_states=max_states,
-            shards=shards,
         )
     alphabet = tuple(chr(ord("a") + i) for i in range(length))
     prefixes = tuple(

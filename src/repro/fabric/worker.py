@@ -20,12 +20,13 @@ Workers execute every registered cell kind
 * **explore / stabilize** sweep cells are self-describing -- the
   :class:`~repro.fabric.sweep.SweepCell` travels in the ticket (or is
   found in a bound :class:`~repro.fabric.sweep.SweepPlan`), so they run
-  even on a plan-less service ledger.  They execute in-process (the
-  analyses heartbeat between phases; the per-attempt wall budget is the
-  queue's lease expiry rather than a fork supervisor) through a
-  per-worker :class:`~repro.analysis.cache.CompiledTableCache`, so each
-  distinct system is compiled at most once per fleet and revived from
-  the shared store everywhere else.
+  even on a plan-less service ledger.  They execute in-process (each
+  heartbeats before its analysis; the per-attempt wall budget is the
+  queue's lease expiry rather than a fork supervisor).  Explore cells
+  go through a per-worker
+  :class:`~repro.analysis.cache.CompiledTableCache`, so each distinct
+  system is compiled at most once per fleet and revived from the shared
+  store everywhere else.
 
 Results are published to the shared cache *before* the ticket is marked
 done, so a completed ticket always implies a readable result.

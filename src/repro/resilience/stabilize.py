@@ -60,8 +60,10 @@ of its ``repr``) onto one of ``shard_count`` shards,
 :func:`analyze_stabilization_shard` judges one shard's sources on its
 own reachable subgraph, and :func:`merge_stabilization_shards`
 reassembles the full :class:`StabilizationResult` -- bit-identical
-(timing aside) to the single-host analysis, which is what lets the work
-fabric distribute ``stabilize`` cells across workers.
+(timing aside) to the single-host analysis.  The work fabric does not
+shard: under full corruption each shard's BFS reaches most of the
+illegitimate graph, so a shard costs about as much as its member, and
+a fabric ``stabilize`` cell runs one member's whole analysis instead.
 """
 
 from __future__ import annotations

@@ -373,11 +373,11 @@ class StabilizeRequest:
     def sweep_cells(self):
         """The fabric sweep cells computing this request's answer.
 
-        A single-member, single-shard stabilize sweep.  The member
-        domain rule reproduces ``self.domain`` exactly (the parse-time
-        domain already includes the input items), so the member's
-        result key equals this request's job key and the worker's
-        opportunistic merge publishes under it.
+        A single-member stabilize sweep: one self-describing cell whose
+        id *is* this request's job key.  The member domain rule
+        reproduces ``self.domain`` exactly (the parse-time domain
+        already includes the input items), so the worker stores exactly
+        the result :meth:`execute` would have cached.
         """
         from repro.fabric.sweep import SweepSpec, plan_sweep
 
@@ -393,7 +393,6 @@ class StabilizeRequest:
             sample=self.sample,
             seed=self.seed,
             capacity=self.capacity,
-            shards=1,
             domain=self.domain,
         )
         return plan_sweep(spec).cells

@@ -31,6 +31,7 @@ from repro.verify.deadlock import (
 )
 from repro.verify.certify import certify_protocol, CertificationReport
 from repro.verify.attack import (
+    AttackSearch,
     AttackWitness,
     find_attack,
     find_attack_on_family,
@@ -52,6 +53,7 @@ __all__ = [
     "DeadlockReport",
     "certify_protocol",
     "CertificationReport",
+    "AttackSearch",
     "AttackWitness",
     "find_attack",
     "find_attack_on_family",

@@ -22,9 +22,12 @@ Every witness found is replayed through the ordinary simulator by
 :func:`replay_witness` before being reported, so benchmark tables never
 contain an unconfirmed attack.
 
-For correct protocols the search simply exhausts (or hits its budget)
-without finding a witness -- which is what experiments T2/T4 report on the
-tight families, against the same engine that breaks the overfull ones.
+For correct protocols the search exhausts without finding a witness --
+which is what experiment T2 reports on the tight family, against the
+same engine that breaks the overfull ones.  A search that stops at its
+state budget says so: :class:`AttackSearch` tells a witness, an
+exhausted product space and a truncated search apart, so a budget cut
+never reads as "no attack".
 """
 
 from __future__ import annotations
@@ -65,6 +68,30 @@ class AttackWitness:
     product_states: int
 
 
+@dataclass(frozen=True)
+class AttackSearch:
+    """The outcome of an attack search.
+
+    Attributes:
+        status: ``"witness"`` (a Safety violation was found),
+            ``"exhausted"`` (the whole reachable product space holds
+            none) or ``"truncated"`` (the state budget stopped the
+            search first, which proves nothing either way).
+        witness: the attack when ``status == "witness"``, else None.
+        product_states: product states visited (summed over every pair
+            searched, for a family).
+    """
+
+    status: str
+    witness: Optional[AttackWitness]
+    product_states: int
+
+    @property
+    def exhausted(self) -> bool:
+        """True only when the search *proved* that no attack exists."""
+        return self.status == "exhausted"
+
+
 def find_attack(
     sender: SenderProtocol,
     receiver: ReceiverProtocol,
@@ -74,11 +101,12 @@ def find_attack(
     second_input: Sequence,
     max_states: int = 500_000,
     include_drops: bool = True,
-) -> Optional[AttackWitness]:
+) -> AttackSearch:
     """Search for a schedule that violates Safety on one of two inputs.
 
-    Returns the witness for the *shortest* product path found, or None if
-    the (possibly budget-truncated) product space contains no violation.
+    The outcome carries the witness for the *shortest* product path
+    found; without one, it says whether the product space was exhausted
+    or the search stopped at ``max_states`` product states.
     """
     first_input = tuple(first_input)
     second_input = tuple(second_input)
@@ -114,7 +142,7 @@ def find_attack(
                     victim = first_input if run_index == 1 else second_input
                     other = second_input if run_index == 1 else first_input
                     schedule = _project(_path_to(parents, successor), run_index)
-                    return AttackWitness(
+                    witness = AttackWitness(
                         input_sequence=victim,
                         other_sequence=other,
                         schedule=schedule,
@@ -125,11 +153,12 @@ def find_attack(
                         ),
                         product_states=len(parents),
                     )
+                    return AttackSearch("witness", witness, len(parents))
                 if len(parents) >= max_states:
-                    return None
+                    return AttackSearch("truncated", None, len(parents))
                 next_frontier.append(successor)
         frontier = next_frontier
-    return None
+    return AttackSearch("exhausted", None, len(parents))
 
 
 def _violates(
@@ -303,15 +332,22 @@ def find_attack_on_family(
     family: Sequence,
     max_states: int = 500_000,
     include_drops: bool = True,
-) -> Optional[AttackWitness]:
-    """Try every input pair of a family (smallest combined length first)."""
+) -> AttackSearch:
+    """Try every input pair of a family (smallest combined length first).
+
+    Stops at the first witness.  Without one, the family is
+    ``"exhausted"`` only if every pair's search was; ``max_states`` is
+    the budget of each pair.
+    """
     members = [tuple(member) for member in family]
     pairs = [
         (a, b) for i, a in enumerate(members) for b in members[i + 1 :]
     ]
     pairs.sort(key=lambda pair: (len(pair[0]) + len(pair[1]), repr(pair)))
+    status = "exhausted"
+    visited = 0
     for first_input, second_input in pairs:
-        witness = find_attack(
+        search = find_attack(
             sender,
             receiver,
             channel_sr,
@@ -321,9 +357,12 @@ def find_attack_on_family(
             max_states=max_states,
             include_drops=include_drops,
         )
-        if witness is not None:
-            return witness
-    return None
+        visited += search.product_states
+        if search.witness is not None:
+            return AttackSearch("witness", search.witness, visited)
+        if search.status == "truncated":
+            status = "truncated"
+    return AttackSearch(status, None, visited)
 
 
 def replay_witness(

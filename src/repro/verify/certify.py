@@ -46,8 +46,10 @@ class CertificationReport:
             certified).
         campaign: the randomized-sweep outcome (None if skipped).
         explorations: per-input exhaustive reports (empty if skipped).
-        attack_witness: a confirmed witness if the attack search found
-            one (None is the *good* outcome).
+        attack_witness: a witness if the attack search found one.  None
+            is the *good* outcome only when the search also exhausted
+            its product space; a truncated search is listed in
+            ``failures``.
         boundedness: the Definition 2 certificate (None if skipped).
     """
 
@@ -145,7 +147,7 @@ def certify_protocol(
     witness: Optional[AttackWitness] = None
     if run_attack_search and len(family) >= 2:
         stages.append("attack-search")
-        witness = find_attack_on_family(
+        search = find_attack_on_family(
             sender,
             receiver,
             channel_factory(),
@@ -153,11 +155,17 @@ def certify_protocol(
             family,
             max_states=max_states,
         )
+        witness = search.witness
         if witness is not None:
             failures.append(
                 f"attack: input {witness.input_sequence!r} confusable with "
                 f"{witness.other_sequence!r}; wrong write {witness.wrote!r} "
                 f"at {witness.wrong_position}"
+            )
+        elif search.status == "truncated":
+            failures.append(
+                f"attack: search truncated at {max_states} product states "
+                "per pair; no attack was ruled out"
             )
 
     boundedness_report: Optional[BoundednessReport] = None

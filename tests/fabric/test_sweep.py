@@ -9,8 +9,8 @@ distinct system once per fleet, not once per cell.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
-import threading
 import time
 
 import pytest
@@ -19,9 +19,9 @@ from repro.analysis.cache import (
     COMPILED_KIND,
     CompiledTableCache,
     ResultCache,
+    stabilize_report_key,
 )
 from repro.fabric import (
-    STABILIZE_SHARD_KIND,
     FabricWorker,
     SweepCell,
     SweepSpec,
@@ -40,6 +40,7 @@ from repro.fabric import (
     sweep_split_warm_cold,
 )
 from repro.fabric.spec import FabricError
+from repro.fabric.sweep import build_stabilize_system
 
 
 def explore_spec() -> SweepSpec:
@@ -47,8 +48,21 @@ def explore_spec() -> SweepSpec:
     return demo_sweep_spec(kind="explore", members=4, length=3)
 
 
-def stabilize_spec(shards: int = 3) -> SweepSpec:
-    return demo_sweep_spec(kind="stabilize", shards=shards)
+def stabilize_spec() -> SweepSpec:
+    """Two stabilize members: abp and ss-arq on input ``ab``."""
+    return demo_sweep_spec(kind="stabilize")
+
+
+def perfbench_stabilize_spec() -> SweepSpec:
+    """The four stabilize members the fabric-sweep benchmark checks."""
+    return SweepSpec(
+        kind="stabilize",
+        protocols=("abp", "ss-arq"),
+        channels=("lossy-fifo",),
+        inputs=(("a", "b"), ("a", "b", "c")),
+        domain=("a", "b", "c", "d"),
+        shards=4,
+    )
 
 
 def needs_fork():
@@ -86,7 +100,7 @@ class TestSweepSpec:
             )
 
     def test_roundtrip_through_dict(self):
-        spec = stabilize_spec(shards=2)
+        spec = perfbench_stabilize_spec()
         assert SweepSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_fields_rejected(self):
@@ -116,7 +130,8 @@ class TestSweepSpec:
             shards=3,
         )
         assert spec.member_count == 2
-        assert spec.cell_count == 6  # shards multiply stabilize members
+        # The retired shards field no longer multiplies cells.
+        assert len(plan_sweep(spec).cells) == 2
 
 
 class TestPlanDeterminism:
@@ -135,18 +150,26 @@ class TestPlanDeterminism:
             assert cell.kind == "explore"
             assert cell.cell_id == cell.result_key
 
-    def test_stabilize_shards_share_a_member_key(self):
-        plan = plan_sweep(stabilize_spec(shards=3))
-        assert len(plan.cells) == 3
-        keys = {cell.result_key for cell in plan.cells}
-        assert len(keys) == 1  # one member
-        assert len({cell.cell_id for cell in plan.cells}) == 3
-        assert [cell.shard_index for cell in plan.cells] == [0, 1, 2]
-        (result_key,) = keys
-        assert plan.member_cells(result_key) == plan.cells
+    def test_stabilize_cell_id_is_its_result_key(self):
+        spec = perfbench_stabilize_spec()
+        plan = plan_sweep(spec)
+        assert len(plan.cells) == spec.member_count == 4
+        for cell in plan.cells:
+            assert cell.kind == "stabilize"
+            system = build_stabilize_system(
+                cell.protocol, cell.channel, cell.input_sequence,
+                cell.domain,
+            )
+            assert cell.cell_id == cell.result_key == stabilize_report_key(
+                system, max_states=spec.max_states, domain=cell.domain
+            )
+            assert plan.member_cells(cell.result_key) == (cell,)
+        # shards no longer changes which cells are planned.
+        unsharded = plan_sweep(dataclasses.replace(spec, shards=1))
+        assert unsharded.cells == plan.cells
 
     def test_plan_roundtrip_through_dict(self):
-        plan = plan_sweep(stabilize_spec(shards=2))
+        plan = plan_sweep(perfbench_stabilize_spec())
         revived = type(plan).from_dict(plan.to_dict())
         assert revived == plan
 
@@ -169,8 +192,8 @@ class TestCellKindRegistry:
     def test_registered_kinds(self):
         assert cell_kind("explore").result_kind == "explore"
         stabilize = cell_kind("stabilize")
-        assert stabilize.result_kind == STABILIZE_SHARD_KIND
-        assert stabilize.merged_kind == "stabilize"
+        assert stabilize.result_kind == "stabilize"
+        assert stabilize.merged_kind is None
 
     def test_unknown_kind_is_a_fabric_error(self):
         with pytest.raises(FabricError, match="unknown cell kind"):
@@ -190,8 +213,16 @@ class TestCellKindRegistry:
         with pytest.raises(FabricError, match="does not match"):
             execute_sweep_cell(forged, cache, CompiledTableCache(cache))
 
-    def test_explore_cell_writes_its_report_and_table_once(self, tmp_path):
+    def test_executor_refuses_forged_stabilize_cell(self, tmp_path):
         cache = ResultCache(tmp_path)
+        cell = plan_sweep(stabilize_spec()).cells[0]
+        forged = dataclasses.replace(cell, seed=cell.seed + 1)
+        with pytest.raises(FabricError, match="does not match"):
+            execute_sweep_cell(forged, cache, CompiledTableCache(cache))
+        assert cache.disk_stats()["entries"] == 0
+
+    @staticmethod
+    def record_writes(cache):
         writes = []
         write = cache.store.write
 
@@ -200,9 +231,25 @@ class TestCellKindRegistry:
             return write(kind, key, data)
 
         cache.store.write = recording_write
+        return writes
+
+    def test_explore_cell_writes_its_report_and_table_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        writes = self.record_writes(cache)
         cell = plan_sweep(explore_spec()).cells[0]
         execute_sweep_cell(cell, cache, CompiledTableCache(cache))
         assert sorted(writes) == [COMPILED_KIND, "explore"]
+
+    def test_stabilize_cell_writes_one_stabilize_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        writes = self.record_writes(cache)
+        tables = CompiledTableCache(cache)
+        cell = plan_sweep(stabilize_spec()).cells[0]
+        beats = []
+        execute_sweep_cell(cell, cache, tables, heartbeat=lambda: beats.append(1))
+        assert writes == ["stabilize"]
+        assert beats == [1]
+        assert tables.compiled == tables.reused == 0
 
 
 class TestExploreSweepByteIdentity:
@@ -274,35 +321,35 @@ class TestExploreSweepByteIdentity:
         assert len(compiled_entries) == 6
 
 
-class TestStabilizeSharding:
-    def test_sharded_sweep_matches_serial_reference(self, tmp_path):
-        spec = stabilize_spec(shards=3)
+class TestStabilizeSweep:
+    def test_sweep_matches_serial_reference(self, tmp_path):
+        spec = stabilize_spec()
         reference = sweep_outcome_to_json(
             plan_sweep(spec),
             serial_sweep(spec, ResultCache(tmp_path / "serial")),
         )
         cache = ResultCache(tmp_path / "fabric")
         outcome = run_sweep(spec, tmp_path / "queue", cache, workers=1)
-        assert outcome.cold_cells == 3
+        assert outcome.cold_cells == 2
         assert (
             sweep_outcome_to_json(outcome.plan, outcome.results)
             == reference
         )
-        # All shards project onto ONE system: compiled once, reused for
-        # the remaining shards.
-        assert sum(s.compiled for s in outcome.worker_stats) == 1
-        assert sum(s.compile_reuse for s in outcome.worker_stats) == 2
+        # Stabilize cells run the serial path: no compiled table is
+        # kept, revived or published.
+        assert sum(s.compiled for s in outcome.worker_stats) == 0
+        assert sum(s.compile_reuse for s in outcome.worker_stats) == 0
 
     def test_single_host_warm_store_claims_zero_cells(self, tmp_path):
-        """A store warmed by ``cached_stabilize`` (no shards) satisfies a
-        sharded sweep without recomputation."""
-        spec = stabilize_spec(shards=3)
+        """A store warmed by ``cached_stabilize`` satisfies a sweep
+        without recomputation."""
+        spec = stabilize_spec()
         cache = ResultCache(tmp_path / "store")
         serial_results = serial_sweep(spec, cache)
         plan = plan_sweep(spec)
         warm, cold = sweep_split_warm_cold(plan, cache)
         assert cold == []
-        assert len(warm) == 3
+        assert len(warm) == 2
         outcome = run_sweep(spec, tmp_path / "queue", cache, workers=1)
         assert outcome.cold_cells == 0
         assert sum(s.claimed for s in outcome.worker_stats) == 0
@@ -310,22 +357,62 @@ class TestStabilizeSharding:
             outcome.plan, outcome.results
         ) == sweep_outcome_to_json(plan, serial_results)
 
-    def test_merge_waits_for_every_shard(self, tmp_path):
-        spec = stabilize_spec(shards=2)
-        plan = plan_sweep(spec)
+    def test_merge_names_a_missing_member(self, tmp_path):
+        plan = plan_sweep(stabilize_spec())
         cache = ResultCache(tmp_path / "store")
         tables = CompiledTableCache(cache=cache)
         first, second = plan.cells
         execute_sweep_cell(first, cache, tables)
-        # One shard in: no merged member yet.
-        assert merge_stabilize_member(first, cache) is None
-        with pytest.raises(FabricError, match="members missing"):
+        with pytest.raises(FabricError, match="1 of 2 sweep members missing"):
             merge_sweep(plan, cache, wait_timeout=0.0)
         execute_sweep_cell(second, cache, tables)
-        merged = merge_stabilize_member(second, cache)
-        assert merged is not None
         results = merge_sweep(plan, cache)
-        assert list(results) == [first.result_key]
+        assert list(results) == [first.result_key, second.result_key]
+
+    def test_one_analysis_per_member(self, tmp_path, monkeypatch):
+        from repro.resilience import stabilize
+
+        analyzed = []
+        analyze = stabilize.analyze_stabilization
+
+        def counting_analyze(system, **kwargs):
+            analyzed.append(kwargs["domain"])
+            return analyze(system, **kwargs)
+
+        monkeypatch.setattr(
+            stabilize, "analyze_stabilization", counting_analyze
+        )
+        spec = perfbench_stabilize_spec()
+        outcome = run_sweep(
+            spec, tmp_path / "queue", ResultCache(tmp_path / "store"),
+            workers=1,
+        )
+        assert outcome.cold_cells == spec.member_count == 4
+        assert len(analyzed) == 4
+
+    def test_sweep_leaves_only_stabilize_entries(self, tmp_path):
+        spec = perfbench_stabilize_spec()
+        cache = ResultCache(tmp_path / "store")
+        run_sweep(spec, tmp_path / "queue", cache, workers=1)
+        kinds = cache.disk_stats()["kinds"]
+        assert list(kinds) == ["stabilize"]
+        assert kinds["stabilize"]["entries"] == spec.member_count
+
+    def test_two_workers_match_serial_reference(self, tmp_path):
+        needs_fork()
+        spec = perfbench_stabilize_spec()
+        reference = sweep_outcome_to_json(
+            plan_sweep(spec),
+            serial_sweep(spec, ResultCache(tmp_path / "serial")),
+        )
+        outcome = run_sweep(
+            spec, tmp_path / "queue", ResultCache(tmp_path / "fabric"),
+            workers=2,
+        )
+        assert (
+            sweep_outcome_to_json(outcome.plan, outcome.results)
+            == reference
+        )
 
 
 class TestWorkerCrashRecovery:
@@ -386,6 +473,27 @@ class TestMalformedTickets:
         (failed,) = queue.failed_tickets()
         assert "does not match ticket" in failed["error"]
 
+    def test_shard_shaped_ticket_parks_as_failed(self, tmp_path):
+        """A shard ticket left by an older planner is never executed."""
+        plan = plan_sweep(stabilize_spec())
+        cell = plan.cells[0]
+        queue = WorkQueue(tmp_path / "queue", max_attempts=1)
+        queue.init(plan)
+        queue.enqueue(
+            "0" * 64,
+            cell={**cell.to_dict(), "cell_id": "0" * 64,
+                  "shard_index": 0, "shard_count": 4},
+        )
+        cache = ResultCache(tmp_path / "store")
+        stats = FabricWorker(
+            queue=queue, cache=cache, idle_timeout=2.0
+        ).run()
+        assert stats.failed == 1 and stats.computed == 0
+        (failed,) = queue.failed_tickets()
+        assert "malformed embedded cell" in failed["error"]
+        assert "shard_count" in failed["error"]
+        assert cache.disk_stats()["entries"] == 0
+
 
 class TestWarmProbe:
     def test_sweep_cell_warm_explore(self, tmp_path):
@@ -395,10 +503,13 @@ class TestWarmProbe:
         execute_sweep_cell(cell, cache, CompiledTableCache(cache))
         assert sweep_cell_warm(cell, cache)
 
-    def test_stabilize_shard_warm_via_merged_member(self, tmp_path):
-        """The merged member result alone satisfies every shard cell."""
-        spec = stabilize_spec(shards=3)
+    def test_sweep_cell_warm_stabilize(self, tmp_path):
+        """A member stored by the single-host path satisfies its cell."""
+        spec = stabilize_spec()
         cache = ResultCache(tmp_path)
-        serial_sweep(spec, cache)  # publishes only the merged member
-        for cell in plan_sweep(spec).cells:
+        cells = plan_sweep(spec).cells
+        assert not any(sweep_cell_warm(cell, cache) for cell in cells)
+        serial_sweep(spec, cache)
+        for cell in cells:
             assert sweep_cell_warm(cell, cache)
+            assert merge_stabilize_member(cell, cache) is not None

@@ -54,7 +54,7 @@ class TestTheorem1:
         sender, receiver = identity_optimistic(family)
         witness = find_attack_on_family(
             sender, receiver, DuplicatingChannel(), DuplicatingChannel(), family
-        )
+        ).witness
         assert witness is not None
         assert not family_dup_solvable(family, domain)
 
@@ -88,7 +88,7 @@ class TestTheorem2:
         channel = DeletingChannel(max_copies=2)
         witness = find_attack_on_family(
             sender, receiver, channel, channel, family, include_drops=True
-        )
+        ).witness
         assert witness is not None
 
 

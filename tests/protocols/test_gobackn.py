@@ -115,7 +115,7 @@ class TestEndToEnd:
             ("a", "b", "a", "a"),
             ("a", "b", "a", "b"),
             max_states=400_000,
-        )
+        ).witness
         assert witness is not None
         replay_witness(
             sender, receiver, DuplicatingChannel(), DuplicatingChannel(), witness

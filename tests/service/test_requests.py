@@ -255,17 +255,15 @@ def test_explore_sweep_cells_carry_the_job_key():
     assert cell.input_sequence == ("a", "b")
 
 
-def test_stabilize_sweep_cells_merge_onto_the_job_key():
-    from repro.analysis.cache import stabilize_shard_key
-
+def test_stabilize_sweep_cells_carry_the_job_key():
     request = _parse(
         "stabilize", protocol="ss-arq", channel="lossy-fifo",
         input="a,b", seed=7, sample=50,
     )
     (cell,) = request.sweep_cells()
     assert cell.kind == "stabilize"
+    assert cell.cell_id == request.job_key()
     assert cell.result_key == request.job_key()
-    assert cell.cell_id == stabilize_shard_key(request.job_key(), 0, 1)
     # Every analysis knob rides along, so a remote worker reproduces
     # the exact same fingerprint.
     assert cell.seed == 7

@@ -332,12 +332,11 @@ def _port_open(port):
         return False
 
 
-def test_enqueue_dispatch_serves_via_fabric_workers(make_service, tmp_path):
-    """dispatch="enqueue": the service publishes sweep cells and an
-    external fabric worker fleet computes them."""
+@pytest.fixture
+def fleet(tmp_path):
+    """A fabric worker fleet draining the service's queue into its store."""
     from repro.fabric.worker import run_worker
 
-    service, port = make_service(dispatch="enqueue")
     stop = threading.Event()
 
     def drain():
@@ -350,25 +349,52 @@ def test_enqueue_dispatch_serves_via_fabric_workers(make_service, tmp_path):
             )
             time.sleep(0.02)
 
-    fleet = threading.Thread(target=drain, daemon=True)
-    fleet.start()
-    try:
-        with ServiceClient("127.0.0.1", port) as client:
-            message = client.call("explore", EXPLORE_A)
-        assert message["type"] == "result"
-        assert message["outcome"]["all_safe"] is True
-        # The ledger shows the typed sweep cell, drained by the fleet.
-        counts = service.queue.kind_counts()
-        assert counts.get("done", {}).get("explore", 0) == 1
-        # A repeat of the same request is a cache hit, not a new cell.
-        with ServiceClient("127.0.0.1", port) as client:
-            message = client.call("explore", EXPLORE_A)
-        assert message["type"] == "result"
-        assert service.stats.warm == 1
-    finally:
-        stop.set()
-        fleet.join(timeout=10)
-    assert not fleet.is_alive()
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    yield
+    stop.set()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_enqueue_dispatch_serves_via_fabric_workers(make_service, fleet):
+    """dispatch="enqueue": the service publishes sweep cells and an
+    external fabric worker fleet computes them."""
+    service, port = make_service(dispatch="enqueue")
+    with ServiceClient("127.0.0.1", port) as client:
+        message = client.call("explore", EXPLORE_A)
+    assert message["type"] == "result"
+    assert message["outcome"]["all_safe"] is True
+    # The ledger shows the typed sweep cell, drained by the fleet.
+    counts = service.queue.kind_counts()
+    assert counts.get("done", {}).get("explore", 0) == 1
+    # A repeat of the same request is a cache hit, not a new cell.
+    with ServiceClient("127.0.0.1", port) as client:
+        message = client.call("explore", EXPLORE_A)
+    assert message["type"] == "result"
+    assert service.stats.warm == 1
+
+
+def test_enqueue_dispatch_serves_stabilize_like_inline(
+    make_service, fleet, tmp_path
+):
+    """A stabilize request dispatched as its one sweep cell answers
+    exactly what the same request computed inline answers."""
+    stabilize = {"protocol": "ss-arq", "channel": "lossy-fifo", "input": "a,b"}
+    inline = build_service(
+        tmp_path / "inline-store", tmp_path / "inline-queue", workers=1
+    )
+    with ServiceThread(inline) as host:
+        with ServiceClient("127.0.0.1", host.port) as client:
+            reference = client.call("stabilize", stabilize)
+    assert reference["type"] == "result"
+    assert reference["outcome"]["converges"] is True
+
+    service, port = make_service(dispatch="enqueue")
+    with ServiceClient("127.0.0.1", port) as client:
+        message = client.call("stabilize", stabilize)
+    assert message == reference
+    assert service.queue.kind_counts()["done"] == {"stabilize": 1}
 
 
 def test_enqueue_dispatch_times_out_without_a_fleet(make_service):

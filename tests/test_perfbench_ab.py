@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.perfbench_ab import PAIRS, compare
+from benchmarks.perfbench_ab import PAIRS, better_pairs, compare
 
 BENCH = json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()
@@ -107,3 +107,20 @@ def test_a_run_without_a_result_line_fails():
     head = [line() for _ in range(PAIRS - 1)] + [dict(NO_RESULT)]
     problems = compare(BENCH, results(head=head))
     assert len(problems) == len(WORKLOADS)
+
+
+def test_better_pairs_tallies_pairs_by_seed():
+    cold = METRICS["cold_s"]
+    rss = METRICS["peak_rss_mb"]
+    base = [line(cold_s=2.0), line(cold_s=3.0), line(cold_s=4.0)]
+    # Pair 1 better, pair 2 tied, pair 3 worse: one of three, although
+    # the sorted values (and so the medians) would be equal.
+    head = [line(cold_s=1.9), line(cold_s=3.0), line(cold_s=4.1)]
+    sides = {"base": base, "head": head}
+    assert better_pairs(cold, sides) == (1, 3)
+    assert better_pairs(rss, sides) == (0, 3)
+    # A run without a result line drops its pair from the tally.
+    from benchmarks.perfbench_ab import NO_RESULT
+
+    sides["head"] = [line(cold_s=1.9), dict(NO_RESULT), line(cold_s=3.9)]
+    assert better_pairs(cold, sides) == (2, 2)

@@ -23,7 +23,7 @@ class TestFindsRealAttacks:
             ReorderingChannel(),
             ("a", "b"),
             ("b", "a"),
-        )
+        ).witness
         assert witness is not None
         assert witness.wrong_position == 0
 
@@ -36,7 +36,7 @@ class TestFindsRealAttacks:
             ReorderingChannel(),
             ("a", "b"),
             ("b", "a"),
-        )
+        ).witness
         result = replay_witness(
             sender, receiver, ReorderingChannel(), ReorderingChannel(), witness
         )
@@ -52,7 +52,7 @@ class TestFindsRealAttacks:
             DuplicatingChannel(),
             DuplicatingChannel(),
             family,
-        )
+        ).witness
         assert witness is not None
         replay_witness(
             sender, receiver, DuplicatingChannel(), DuplicatingChannel(), witness
@@ -69,7 +69,7 @@ class TestFindsRealAttacks:
             channel,
             family,
             include_drops=True,
-        )
+        ).witness
         assert witness is not None
         replay_witness(sender, receiver, channel, channel, witness)
 
@@ -82,7 +82,7 @@ class TestFindsRealAttacks:
             DuplicatingChannel(),
             ("a", "b", "a"),
             ("a", "b", "b"),
-        )
+        ).witness
         assert witness is not None
         # The wrong write is at the bit-reuse position.
         assert witness.wrong_position == 2
@@ -99,7 +99,7 @@ class TestFindsRealAttacks:
             ReorderingChannel(),
             ("a",),
             ("b",),
-        )
+        ).witness
         assert witness is None
 
     def test_witness_metadata_is_consistent(self):
@@ -111,7 +111,7 @@ class TestFindsRealAttacks:
             ReorderingChannel(),
             ("a", "b"),
             ("b", "a"),
-        )
+        ).witness
         assert witness.input_sequence in {("a", "b"), ("b", "a")}
         assert witness.other_sequence != witness.input_sequence
         assert witness.wrote != witness.expected
@@ -123,7 +123,7 @@ class TestExhaustsOnCorrectProtocols:
         sender, receiver = norepeat_protocol("ab")
         family = repetition_free_family("ab")
         assert len(family) == alpha(2)
-        witness = find_attack_on_family(
+        search = find_attack_on_family(
             sender,
             receiver,
             DuplicatingChannel(),
@@ -131,12 +131,13 @@ class TestExhaustsOnCorrectProtocols:
             family,
             max_states=200_000,
         )
-        assert witness is None
+        assert search.witness is None
+        assert search.status == "exhausted"
 
     def test_norepeat_del_has_no_attack(self):
         sender, receiver = norepeat_protocol("ab")
         channel = DeletingChannel(max_copies=2)
-        witness = find_attack_on_family(
+        search = find_attack_on_family(
             sender,
             receiver,
             channel,
@@ -145,7 +146,74 @@ class TestExhaustsOnCorrectProtocols:
             max_states=200_000,
             include_drops=True,
         )
-        assert witness is None
+        assert search.witness is None
+        assert search.status == "exhausted"
+
+    def test_t2_m2_pair_is_exhausted(self):
+        sender, receiver = norepeat_protocol("ab")
+        search = find_attack(
+            sender,
+            receiver,
+            DuplicatingChannel(),
+            DuplicatingChannel(),
+            ("a", "b"),
+            ("b", "a"),
+            max_states=200_000,
+        )
+        assert search.status == "exhausted"
+        assert search.exhausted and search.witness is None
+        assert 0 < search.product_states < 200_000
+
+
+class TestTruncation:
+    """A search cut by its budget must never read as "no attack"."""
+
+    def test_a_few_states_on_norepeat_dup_is_truncated(self):
+        sender, receiver = norepeat_protocol("ab")
+        search = find_attack(
+            sender,
+            receiver,
+            DuplicatingChannel(),
+            DuplicatingChannel(),
+            ("a", "b"),
+            ("b", "a"),
+            max_states=4,
+        )
+        assert search.status == "truncated"
+        assert not search.exhausted and search.witness is None
+        assert search.product_states == 4
+
+    def test_one_truncated_pair_makes_the_family_truncated(self):
+        sender, receiver = norepeat_protocol("ab")
+        search = find_attack_on_family(
+            sender,
+            receiver,
+            DuplicatingChannel(),
+            DuplicatingChannel(),
+            repetition_free_family("ab"),
+            max_states=4,
+        )
+        assert search.status == "truncated"
+        assert search.witness is None
+
+    def test_certify_names_a_truncated_attack_search(self):
+        from repro.verify.certify import certify_protocol
+
+        sender, receiver = norepeat_protocol("ab")
+        report = certify_protocol(
+            sender,
+            receiver,
+            DuplicatingChannel,
+            repetition_free_family("ab"),
+            run_campaign=False,
+            run_exploration=False,
+            max_states=4,
+        )
+        assert report.stages_run == ("attack-search",)
+        assert report.attack_witness is None
+        assert not report.certified
+        (failure,) = report.failures
+        assert failure.startswith("attack: search truncated at 4")
 
 
 class TestContracts:
@@ -164,7 +232,7 @@ class TestContracts:
     def test_budget_truncation_returns_none(self):
         family = overfull_family("ab", 2)
         sender, receiver = identity_optimistic(family)
-        witness = find_attack(
+        search = find_attack(
             sender,
             receiver,
             DuplicatingChannel(),
@@ -173,7 +241,8 @@ class TestContracts:
             ("b",),
             max_states=2,
         )
-        assert witness is None
+        assert search.witness is None
+        assert search.status == "truncated"
 
     def test_replay_of_forged_witness_raises(self):
         from repro.verify.attack import AttackWitness
