@@ -18,10 +18,14 @@ operation, or if any ``end_to_end`` metric's HEAD median is worse than
 its BASE median by more than the metric's ``bound`` (a fraction of the
 BASE median) in the metric's ``better`` direction.  Otherwise it is 0.
 
-Next to each median the script prints in how many pairs HEAD was
-better, pairing the two runs of one seed: a median that moved while
-the pairs split evenly is noise, and a tally far from even on identical
-code is a lean of the host, not of the program.
+Next to each median the script prints each side's quartiles and in how
+many pairs HEAD was better, pairing the two runs of one seed: a median
+that moved while the pairs split evenly is noise, and a tally far from
+even on identical code is a lean of the host, not of the program.  A
+gain is claimed when HEAD wins at least nine tenths of the pairs and
+the medians differ by more than BASE's interquartile range.  A run that
+is not correct is reported with the ``label check failed:`` and
+``failed operation:`` lines of its ``run.py`` report.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Pairs of runs per workload; each pair runs on seed ``pair + 1``.
 PAIRS = 3
@@ -40,7 +44,32 @@ PAIRS = 3
 SIDES = ("base", "head")
 
 #: A run that printed no result line counts as this one.
-NO_RESULT = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+NO_RESULT = {
+    "correct": False,
+    "attempted": 0,
+    "failed": 0,
+    "metrics": {},
+    "why": ["no result line"],
+}
+
+#: How the lines of a ``run.py`` report that say why a run is not
+#: correct begin.
+WHY_PREFIXES = ("label check failed:", "failed operation:")
+
+
+def parse_run(stdout: str) -> Optional[dict]:
+    """The result line of a ``run.py`` report, or None if it has none.
+
+    The returned line gains ``why``: the report's lines that say why
+    the run is not correct, in order.
+    """
+    lines = [line.strip() for line in stdout.splitlines()]
+    results = [line for line in lines if line.startswith("{")]
+    if not results:
+        return None
+    result = json.loads(results[-1])
+    result["why"] = [line for line in lines if line.startswith(WHY_PREFIXES)]
+    return result
 
 
 def run_once(
@@ -64,11 +93,11 @@ def run_once(
         capture_output=True,
         text=True,
     )
-    lines = [line for line in finished.stdout.splitlines() if line.startswith("{")]
-    if finished.returncode != 0 or not lines:
+    result = parse_run(finished.stdout) if finished.returncode == 0 else None
+    if result is None:
         print(finished.stderr[-2000:], file=sys.stderr)
         return dict(NO_RESULT)
-    return json.loads(lines[-1])
+    return result
 
 
 def worsening(base: float, head: float, better: str) -> float:
@@ -78,6 +107,31 @@ def worsening(base: float, head: float, better: str) -> float:
     """
     change = (head - base) / base
     return change if better == "lower" else -change
+
+
+def side_values(metric: dict, sides: Dict[str, List[dict]]) -> List[List[float]]:
+    """``[base values, head values]`` of ``metric``, from the runs that have it."""
+    name = metric["name"]
+    return [
+        [
+            line["metrics"][name]["value"]
+            for line in sides[side]
+            if name in line["metrics"]
+        ]
+        for side in SIDES
+    ]
+
+
+def quartiles(values: List[float]) -> Tuple[float, float]:
+    """The first and third quartiles of ``values``.
+
+    Interpolated between the sorted values, so both stay inside their
+    range; a single value is its own quartiles.
+    """
+    if len(values) < 2:
+        return values[0], values[0]
+    first, _, third = statistics.quantiles(values, n=4, method="inclusive")
+    return first, third
 
 
 def medians(
@@ -90,14 +144,7 @@ def medians(
     """
     for workload, sides in results.items():
         for metric in bench["end_to_end"]:
-            values = [
-                [
-                    line["metrics"][metric["name"]]["value"]
-                    for line in sides[side]
-                    if metric["name"] in line["metrics"]
-                ]
-                for side in SIDES
-            ]
+            values = side_values(metric, sides)
             if all(values):
                 yield (
                     workload,
@@ -140,9 +187,10 @@ def compare(bench: dict, results: Dict[str, Dict[str, List[dict]]]) -> List[str]
         for side in SIDES:
             for number, line in enumerate(sides[side], 1):
                 if line["correct"] is not True or line["failed"] > 0:
+                    why = "".join(f"; {reason}" for reason in line.get("why", ()))
                     problems.append(
                         f"{workload}: {side} run {number} is not correct "
-                        f"(correct={line['correct']}, failed={line['failed']})"
+                        f"(correct={line['correct']}, failed={line['failed']}){why}"
                     )
     for workload, metric, base, head in medians(bench, results):
         worse = worsening(base, head, metric["better"])
@@ -190,14 +238,21 @@ def main(argv=None) -> int:
                     flush=True,
                 )
 
-    print(f"medians over {PAIRS} pairs per workload (HEAD vs BASE):")
+    print(
+        f"medians over {PAIRS} pairs per workload (HEAD vs BASE), "
+        "each with its quartiles:"
+    )
     for workload, metric, base, head in medians(bench, results):
         worse = worsening(base, head, metric["better"])
         better, pairs = better_pairs(metric, results[workload])
+        spreads = [
+            "({:.4g}-{:.4g})".format(*quartiles(values))
+            for values in side_values(metric, results[workload])
+        ]
         print(
             f"  {workload:<14} {metric['name']:<12} base {base:10.4g} "
-            f"head {head:10.4g} {metric['unit']:<3} worse by {worse:+7.1%} "
-            f"(bound {metric['bound']:.0%}), "
+            f"{spreads[0]} head {head:10.4g} {spreads[1]} {metric['unit']:<3} "
+            f"worse by {worse:+7.1%} (bound {metric['bound']:.0%}), "
             f"HEAD better in {better} of {pairs} pairs"
         )
     problems = compare(bench, results)

@@ -10,8 +10,8 @@
   ``repro-perf/1`` JSON artifact that ``chaos`` and ``stabilize`` write
   (with ``spans:``/``metrics:`` sections from :mod:`repro.obs`).
 * :mod:`repro.analysis.cache` -- the content-addressed on-disk result
-  cache (compiled tables, exploration reports, campaign run metrics,
-  corrupted-start stabilization verdicts).
+  cache (exploration reports, campaign run metrics, corrupted-start
+  stabilization verdicts).
 """
 
 from repro.analysis.cache import (

@@ -12,9 +12,8 @@ deterministic.
 Three layers use this module:
 
 * :func:`cached_explore` -- :class:`~repro.verify.explorer.ExplorationReport`
-  and the compiled transition table
-  (:meth:`repro.kernel.compiled.CompiledSystem.snapshot`) keyed by
-  (protocol, channel, input, caps);
+  keyed by (protocol, channel, input, caps); the compiled transition
+  table it searched is not stored;
 * :class:`repro.analysis.campaign.Campaign` with ``cache=`` -- per-grid-cell
   :class:`~repro.analysis.metrics.RunMetrics` keyed by (campaign spec,
   RNG identity, input, seed);
@@ -68,13 +67,6 @@ CACHE_SCHEMA = "stp-repro-cache/1"
 
 #: Environment variable overriding the default cache root.
 CACHE_ENV_VAR = "STP_REPRO_CACHE"
-
-#: Store kind holding :meth:`CompiledSystem.snapshot` blobs, keyed
-#: directly by the system fingerprint.  Published so that a fleet
-#: draining a sweep compiles each distinct system once fleet-wide:
-#: every worker after the first revives the snapshot instead of
-#: re-running protocol/channel code.
-COMPILED_KIND = "compiled"
 
 #: Exhaustive-exploration engines: the scalar oracle and the batched
 #: frontier engine proven bit-identical to it.
@@ -209,11 +201,9 @@ def explore_report_key(
     ``engine`` is deliberately absent -- reports are bit-identical across
     both engines, so they share one address.
     """
-    return _explore_key(system_fingerprint(system), max_states, include_drops)
-
-
-def _explore_key(base: str, max_states: int, include_drops: bool) -> str:
-    return fingerprint("explore", base, max_states, include_drops)
+    return fingerprint(
+        "explore", system_fingerprint(system), max_states, include_drops
+    )
 
 
 def stabilize_report_key(
@@ -386,18 +376,16 @@ def cached_explore(
     max_states: int = 1_000_000,
     include_drops: bool = True,
     cache: Optional[ResultCache] = None,
-    reuse_table: bool = True,
     engine: str = "scalar",
-    table=None,
 ):
     """Exhaustive exploration behind the cache, on any engine.
 
     On a report hit the stored :class:`ExplorationReport` is returned
     verbatim (bit-identical to recomputation).  On a miss the search runs
-    over the compiled kernel -- reviving a cached transition-table
-    snapshot first when ``reuse_table`` and one exists, so even the miss
-    path often skips all protocol/channel code -- and both the report and
-    the (possibly grown) table snapshot are stored.
+    over a freshly compiled table and only the report is stored: a cold
+    call makes one store read and one store write.  The table is not
+    stored, because nothing would revive it -- the members of a family
+    are distinct systems, each explored once.
 
     Args:
         engine: ``"scalar"`` for
@@ -405,13 +393,9 @@ def cached_explore(
             for :func:`~repro.kernel.frontier.explore_batched`.  Reports
             are bit-identical across both, so they share one report key:
             a sweep run on either engine warms the cache for the other.
-        table: an already-revived :class:`CompiledSystem` for ``system``
-            (fabric workers keep one per distinct system in a
-            :class:`CompiledTableCache`); skips the store revival probe.
 
     With ``cache=None`` this is exactly the chosen engine, uncached.
     """
-    from repro.kernel.compiled import CompiledSystem
     from repro.kernel.frontier import explore_batched
     from repro.verify.explorer import explore_compiled
 
@@ -422,25 +406,13 @@ def cached_explore(
         return explore_fn(
             system, max_states=max_states, include_drops=include_drops
         )
-    base = system_fingerprint(system)
-    report_key = _explore_key(base, max_states, include_drops)
+    report_key = explore_report_key(system, max_states, include_drops)
     report = cache.get("explore", report_key)
-    if report is not None:
-        return report
-
-    if table is None and reuse_table:
-        table = _revive_table(cache, system, base)
-    if table is None:
-        table = CompiledSystem(system)
-    report = explore_fn(
-        system,
-        max_states=max_states,
-        include_drops=include_drops,
-        compiled=table,
-    )
-    cache.put("explore", report_key, report)
-    if reuse_table:
-        cache.put(COMPILED_KIND, base, table.snapshot())
+    if report is None:
+        report = explore_fn(
+            system, max_states=max_states, include_drops=include_drops
+        )
+        cache.put("explore", report_key, report)
     return report
 
 
@@ -513,85 +485,22 @@ def cached_stabilize(
     return dataclasses.replace(result, engine=engine)
 
 
-def _revive_table(cache: ResultCache, system, base: str):
-    """A cached compiled table for ``system``, or None."""
-    from repro.kernel.compiled import CompiledSystem
-
-    snapshot = cache.get(COMPILED_KIND, base)
-    if snapshot is None:
-        return None
-    try:
-        return CompiledSystem.from_snapshot(system, snapshot)
-    except Exception:
-        return None  # stale/corrupt snapshot: recompile
-
-
 class CompiledTableCache:
-    """Per-worker in-process LRU of compiled tables over the shared store.
+    """A stub that stores nothing and holds no tables.
 
-    The compile-once-fleet-wide discipline for explore sweep workers:
-    the first toucher of a distinct system compiles its
-    :class:`~repro.kernel.compiled.CompiledSystem` (counted in
-    ``compiled``), and :func:`cached_explore` stores the grown snapshot;
-    every later toucher revives instead -- from this process's LRU
-    first, then from the shared store's :data:`COMPILED_KIND` entry
-    (both counted in ``reused`` and in the ``fabric.compile_reuse``
-    metric).  A 100-cell
-    sweep over a handful of distinct systems therefore compiles each
-    system once across the whole fleet, not once per cell.
-
-    The LRU is intentionally small (``max_entries``): tables hold every
-    interned configuration, so a worker walking a long heterogeneous
-    sweep must not accumulate every table it ever touched.
+    Nothing under ``src/`` calls it.  It exists only because the
+    benchmark's tracer (``perfbench/tracing.py``) wraps
+    :meth:`table_for` and :meth:`publish` by name and refuses to run
+    when a target no longer resolves.  Explore cells go through
+    :func:`cached_explore`, which compiles a fresh table per search and
+    stores only the report.
     """
 
-    def __init__(
-        self, cache: Optional[ResultCache] = None, max_entries: int = 8
-    ) -> None:
-        from collections import OrderedDict
-
-        self.cache = cache
-        self.max_entries = max_entries
-        self._tables: "OrderedDict[str, object]" = OrderedDict()
-        self.compiled = 0
-        self.reused = 0
-
     def table_for(self, system, base: Optional[str] = None):
-        """A compiled table for ``system``: LRU hit, revival, or compile."""
+        """A freshly compiled table for ``system``."""
         from repro.kernel.compiled import CompiledSystem
 
-        if base is None:
-            base = system_fingerprint(system)
-        table = self._tables.get(base)
-        if table is not None:
-            self._tables.move_to_end(base)
-            self.reused += 1
-            obs.add("fabric.compile_reuse")
-            return table
-        table = (
-            _revive_table(self.cache, system, base)
-            if self.cache is not None
-            else None
-        )
-        if table is not None:
-            self.reused += 1
-            obs.add("fabric.compile_reuse")
-        else:
-            table = CompiledSystem(system)
-            self.compiled += 1
-        self._tables[base] = table
-        while len(self._tables) > self.max_entries:
-            self._tables.popitem(last=False)
-        return table
+        return CompiledSystem(system)
 
     def publish(self, base: str, table) -> None:
-        """Snapshot ``table`` into the shared store for sibling workers.
-
-        Nothing in the library calls this since stabilize sweeps stopped
-        sharding (``cached_explore`` stores its own snapshot); the name
-        stays because ``perfbench/tracing.py`` wraps it.  Publishing is
-        last-write-wins and any complete snapshot is correct, so racing
-        workers are safe.
-        """
-        if self.cache is not None:
-            self.cache.put(COMPILED_KIND, base, table.snapshot())
+        """Store nothing."""

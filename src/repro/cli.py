@@ -860,9 +860,7 @@ def _fabric_sweep(args) -> int:
             for stats in result.worker_stats:
                 print(
                     f"  {stats.worker_id}: claimed {stats.claimed}, "
-                    f"computed {stats.computed}, warm {stats.warm}, "
-                    f"compiled {stats.compiled}, "
-                    f"reused tables {stats.compile_reuse}"
+                    f"computed {stats.computed}, warm {stats.warm}"
                 )
     except FabricError as error:
         print(f"sweep failed: {error}", file=sys.stderr)

@@ -18,7 +18,7 @@ The pieces, importable a la carte:
 * :mod:`repro.fabric.sweep` -- :class:`SweepSpec` / :func:`plan_sweep`,
   the explore/stabilize family -> cell decomposition;
 * :mod:`repro.fabric.cells` -- the typed cell-kind registry and the
-  sweep-cell executors (one cell per member, compiled-table reuse);
+  sweep-cell executors (one cell per member, one stored result each);
 * :mod:`repro.fabric.queue` -- :class:`WorkQueue`, lease/claim/
   heartbeat/requeue via atomic renames, no server;
 * :mod:`repro.fabric.worker` -- :class:`FabricWorker`, the pull loop;

@@ -19,10 +19,7 @@ self-describing :class:`~repro.fabric.sweep.SweepCell` payloads.  A
 sweep cell is one family member, run through exactly the serial path
 (:func:`~repro.analysis.cache.cached_explore` /
 :func:`~repro.analysis.cache.cached_stabilize`), so its stored result
-*is* the member result.  Explore cells also keep the compiled-table
-discipline that makes a fleet fast: each worker keeps a
-:class:`~repro.analysis.cache.CompiledTableCache`, so a distinct system
-is compiled once fleet-wide and revived everywhere else.
+*is* the member result and the cell writes that one entry.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.cache import (
-    CompiledTableCache,
     ResultCache,
     explore_report_key,
     stabilize_report_key,
@@ -109,10 +105,7 @@ def _check(condition: bool, message: str) -> None:
 
 
 def execute_sweep_cell(
-    cell: SweepCell,
-    cache: ResultCache,
-    tables: CompiledTableCache,
-    heartbeat=None,
+    cell: SweepCell, cache: ResultCache, heartbeat=None
 ) -> None:
     """Compute one sweep cell and publish its payload into ``cache``.
 
@@ -123,7 +116,7 @@ def execute_sweep_cell(
     return the payload is in the store.
     """
     if cell.kind == "explore":
-        _execute_explore(cell, cache, tables, heartbeat)
+        _execute_explore(cell, cache, heartbeat)
     elif cell.kind == "stabilize":
         _execute_stabilize(cell, cache, heartbeat)
     else:
@@ -133,10 +126,7 @@ def execute_sweep_cell(
 
 
 def _execute_explore(
-    cell: SweepCell,
-    cache: ResultCache,
-    tables: CompiledTableCache,
-    heartbeat=None,
+    cell: SweepCell, cache: ResultCache, heartbeat=None
 ) -> None:
     from repro.analysis.cache import cached_explore
 
@@ -152,17 +142,15 @@ def _execute_explore(
         report_key == cell.result_key == cell.cell_id,
         f"explore cell {cell.cell_id[:12]} does not match its parameters",
     )
-    table = tables.table_for(system)
     if heartbeat is not None:
         heartbeat()
-    # Stores the report and, once, the grown table's snapshot.
+    # The serial path: one search, one ``explore`` entry.
     cached_explore(
         system,
         max_states=cell.max_states,
         include_drops=cell.include_drops,
         cache=cache,
         engine="batched",
-        table=table,
     )
 
 

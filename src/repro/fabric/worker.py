@@ -22,11 +22,7 @@ Workers execute every registered cell kind
   found in a bound :class:`~repro.fabric.sweep.SweepPlan`), so they run
   even on a plan-less service ledger.  They execute in-process (each
   heartbeats before its analysis; the per-attempt wall budget is the
-  queue's lease expiry rather than a fork supervisor).  Explore cells
-  go through a per-worker
-  :class:`~repro.analysis.cache.CompiledTableCache`, so each distinct
-  system is compiled at most once per fleet and revived from the shared
-  store everywhere else.
+  queue's lease expiry rather than a fork supervisor).
 
 Results are published to the shared cache *before* the ticket is marked
 done, so a completed ticket always implies a readable result.
@@ -39,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro import obs
-from repro.analysis.cache import CompiledTableCache, ResultCache
+from repro.analysis.cache import ResultCache
 from repro.fabric.planner import CAMPAIGN_CELL_KIND, FabricPlan
 from repro.fabric.queue import WorkQueue, default_worker_id
 from repro.fabric.spec import FabricError
@@ -56,8 +52,6 @@ class WorkerStats:
     warm: int = 0
     failed: int = 0
     requeued_leases: int = 0
-    compiled: int = 0
-    compile_reuse: int = 0
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
@@ -68,8 +62,6 @@ class WorkerStats:
             "warm": self.warm,
             "failed": self.failed,
             "requeued_leases": self.requeued_leases,
-            "compiled": self.compiled,
-            "compile_reuse": self.compile_reuse,
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -108,7 +100,6 @@ class FabricWorker:
         if isinstance(plan, FabricPlan):
             campaign = plan.spec.build_campaign(cache=None)
             rng = plan.rng
-        tables = CompiledTableCache(cache=self.cache)
         stats = WorkerStats(worker_id=self.worker_id)
         started = time.monotonic()
         idle_since: Optional[float] = None
@@ -135,13 +126,11 @@ class FabricWorker:
                 continue
             idle_since = None
             stats.claimed += 1
-            self._work_one(plan, campaign, rng, tables, ticket, stats)
-        stats.compiled = tables.compiled
-        stats.compile_reuse = tables.reused
+            self._work_one(plan, campaign, rng, ticket, stats)
         stats.elapsed_seconds = time.monotonic() - started
         return stats
 
-    def _work_one(self, plan, campaign, rng, tables, ticket, stats) -> None:
+    def _work_one(self, plan, campaign, rng, ticket, stats) -> None:
         cell_id = ticket["cell_id"]
         try:
             sweep_cell = self._resolve_sweep_cell(plan, ticket)
@@ -152,7 +141,7 @@ class FabricWorker:
             stats.failed += 1
             return
         if sweep_cell is not None:
-            self._work_sweep(sweep_cell, tables, ticket, stats)
+            self._work_sweep(sweep_cell, ticket, stats)
             return
         if campaign is None:
             # Not a sweep ticket and no campaign plan bound: a ticket
@@ -224,7 +213,7 @@ class FabricWorker:
             return plan.cell_by_id(ticket["cell_id"])
         return None
 
-    def _work_sweep(self, cell, tables, ticket, stats) -> None:
+    def _work_sweep(self, cell, ticket, stats) -> None:
         from repro.fabric.cells import (
             execute_sweep_cell,
             sweep_cell_warm,
@@ -251,7 +240,6 @@ class FabricWorker:
             execute_sweep_cell(
                 cell,
                 self.cache,
-                tables,
                 heartbeat=lambda: self.queue.heartbeat(cell_id),
             )
         except (VerificationError, FabricError) as error:

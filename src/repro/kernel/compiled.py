@@ -56,9 +56,10 @@ The integer fast paths that consume this table are
 :func:`repro.kernel.simulator.simulate_compiled`; both produce
 bit-identical results to their object-graph twins.  A populated table can
 be exported with :meth:`CompiledSystem.snapshot` and revived with
-:meth:`CompiledSystem.from_snapshot` -- the hook the content-addressed
-result cache (:mod:`repro.analysis.cache`) uses to skip recompilation
-across processes and CI runs.
+:meth:`CompiledSystem.from_snapshot` in another process.  The result
+cache (:mod:`repro.analysis.cache`) stores reports, not tables: each
+family member is a distinct system explored once, so a stored table
+would never be revived.
 """
 
 from __future__ import annotations
@@ -359,7 +360,7 @@ class CompiledSystem:
         """Number of distinct events interned so far."""
         return len(self._events)
 
-    # -- snapshots (for the on-disk result cache) ------------------------
+    # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """A picklable export of the table (configs, rows, events, bits)."""
@@ -378,18 +379,18 @@ class CompiledSystem:
     ) -> "CompiledSystem":
         """Revive a compiled table for ``system`` from :meth:`snapshot`.
 
-        The snapshot must come from an identical system (the cache layer
-        guarantees this by fingerprinting); ids are re-assigned in the
-        stored order, so they match the exporting process exactly.
+        The snapshot must come from an identical system (the caller
+        guarantees this, for instance by comparing
+        :func:`~repro.analysis.cache.system_fingerprint`); ids are
+        re-assigned in the stored order, so they match the exporting
+        process exactly.
 
         A malformed snapshot -- mismatched table lengths, or a row edge
         referencing an out-of-range event or state id -- raises
         :class:`~repro.kernel.errors.SimulationError` instead of
-        producing a table that fails later mid-traversal.  Fabric
-        workers revive snapshots published by *other* processes into a
-        shared store, so a truncated or corrupted blob must be rejected
-        at the boundary (the cache layer turns the rejection into a
-        miss and recompiles).
+        producing a table that fails later mid-traversal.  A snapshot
+        may come from another process or from disk, so a truncated or
+        corrupted blob must be rejected at the boundary.
         """
         if snapshot.get("schema") != SNAPSHOT_SCHEMA:
             raise SimulationError(

@@ -230,9 +230,29 @@ class TestCachedExplore:
         cache = ResultCache(tmp_path)
         cached_explore(make_system(), max_states=600, cache=cache)
         cached_explore(make_system(), max_states=700, cache=cache)
-        # Distinct report keys, but the second call revives the stored
-        # transition-table snapshot.
-        assert cache.hits == 1
+        # Distinct report keys: two reports stored, neither call a hit.
+        assert cache.hits == 0
+        kinds = cache.disk_stats()["kinds"]
+        assert list(kinds) == ["explore"]
+        assert kinds["explore"]["entries"] == 2
+
+    def test_cold_call_reads_once_and_writes_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        calls = []
+        read, write = cache.store.read, cache.store.write
+
+        def recording_read(kind, key):
+            calls.append(("read", kind))
+            return read(kind, key)
+
+        def recording_write(kind, key, data):
+            calls.append(("write", kind))
+            return write(kind, key, data)
+
+        cache.store.read = recording_read
+        cache.store.write = recording_write
+        cached_explore(make_system(), cache=cache, engine="batched")
+        assert calls == [("read", "explore"), ("write", "explore")]
 
     def test_without_cache_is_plain_explore_compiled(self):
         report = cached_explore(make_system(), cache=None)

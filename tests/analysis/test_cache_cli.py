@@ -3,8 +3,8 @@
 Covers the ``stp-repro cache`` subcommand (stats / clear / prune), the
 ``explore`` subcommand's engine switches, and the cache-layer contracts
 the frontier engine added: batched runs share the scalar report key
-(cross-engine hits), and a cold run stores one report and one compiled
-table, nothing else.
+(cross-engine hits), and a cold run stores its report and nothing
+else.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ class TestCacheSubcommand:
             ["cache", "stats", "--cache-dir", str(root), "--json"]
         ) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["entries"] == 2  # report + compiled table
-        assert set(stats["kinds"]) == {"explore", "compiled"}
+        assert stats["entries"] == 1  # the report alone
+        assert set(stats["kinds"]) == {"explore"}
 
     def test_clear_empties_the_store(self, tmp_path, capsys):
         root = tmp_path / "cache"
@@ -96,12 +96,18 @@ class TestCacheSubcommand:
         for items in (("a",), ("a", "b"), ("b", "a")):
             cached_explore(build_system(items), cache=cache)
         before = cache.disk_stats()
+        assert before["entries"] == 3
+        # A budget one byte short of the store: something must go.
+        budget = before["bytes"] - 1
         assert main(
-            ["cache", "prune", "--cache-dir", str(root), "--max-size", "1K"]
+            [
+                "cache", "prune", "--cache-dir", str(root),
+                "--max-size", str(budget),
+            ]
         ) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["removed"] >= 1
-        assert summary["remaining_bytes"] <= 1024
+        assert summary["remaining_bytes"] <= budget
         assert summary["freed_bytes"] <= before["bytes"]
 
     def test_prune_size_suffixes(self, tmp_path, capsys):
@@ -136,7 +142,7 @@ class TestEngineAwareCachedExplore:
         assert cache.stats()["hits"] == hits_before + 1
         assert strip_timing(scalar) == strip_timing(batched)
 
-    def test_cold_batched_writes_one_report_and_one_table(self, tmp_path):
+    def test_cold_batched_writes_only_its_report(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         writes = []
         write = cache.store.write
@@ -149,7 +155,7 @@ class TestEngineAwareCachedExplore:
         cached_explore(
             build_system(("a", "b", "c")), cache=cache, engine="batched"
         )
-        assert sorted(writes) == ["compiled", "explore"]
+        assert writes == ["explore"]
 
     def test_engine_validation(self, tmp_path):
         with pytest.raises(ValueError, match="engine"):

@@ -3,8 +3,8 @@
 The contract under test is the PR's headline: a sweep distributed over
 any number of fabric workers must render **byte-identically** to the
 single-host ``serial_sweep`` reference -- cold, warm, after a worker
-crash, and across stores warmed by either path -- while compiling each
-distinct system once per fleet, not once per cell.
+crash, and across stores warmed by either path -- while storing exactly
+one result per member.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ import time
 
 import pytest
 
-from repro.analysis.cache import (
-    COMPILED_KIND,
-    CompiledTableCache,
-    ResultCache,
-    stabilize_report_key,
-)
+from repro.analysis.cache import ResultCache, stabilize_report_key
 from repro.fabric import (
     FabricWorker,
     SweepCell,
@@ -211,14 +206,14 @@ class TestCellKindRegistry:
             {**cell.to_dict(), "cell_id": "0" * 64, "result_key": "0" * 64}
         )
         with pytest.raises(FabricError, match="does not match"):
-            execute_sweep_cell(forged, cache, CompiledTableCache(cache))
+            execute_sweep_cell(forged, cache)
 
     def test_executor_refuses_forged_stabilize_cell(self, tmp_path):
         cache = ResultCache(tmp_path)
         cell = plan_sweep(stabilize_spec()).cells[0]
         forged = dataclasses.replace(cell, seed=cell.seed + 1)
         with pytest.raises(FabricError, match="does not match"):
-            execute_sweep_cell(forged, cache, CompiledTableCache(cache))
+            execute_sweep_cell(forged, cache)
         assert cache.disk_stats()["entries"] == 0
 
     @staticmethod
@@ -233,23 +228,21 @@ class TestCellKindRegistry:
         cache.store.write = recording_write
         return writes
 
-    def test_explore_cell_writes_its_report_and_table_once(self, tmp_path):
+    def test_explore_cell_writes_its_report_once(self, tmp_path):
         cache = ResultCache(tmp_path)
         writes = self.record_writes(cache)
         cell = plan_sweep(explore_spec()).cells[0]
-        execute_sweep_cell(cell, cache, CompiledTableCache(cache))
-        assert sorted(writes) == [COMPILED_KIND, "explore"]
+        execute_sweep_cell(cell, cache)
+        assert writes == ["explore"]
 
     def test_stabilize_cell_writes_one_stabilize_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         writes = self.record_writes(cache)
-        tables = CompiledTableCache(cache)
         cell = plan_sweep(stabilize_spec()).cells[0]
         beats = []
-        execute_sweep_cell(cell, cache, tables, heartbeat=lambda: beats.append(1))
+        execute_sweep_cell(cell, cache, heartbeat=lambda: beats.append(1))
         assert writes == ["stabilize"]
         assert beats == [1]
-        assert tables.compiled == tables.reused == 0
 
 
 class TestExploreSweepByteIdentity:
@@ -276,7 +269,6 @@ class TestExploreSweepByteIdentity:
         assert warm.cold_cells == 0
         assert warm.warm_cells == 6
         assert sum(s.claimed for s in warm.worker_stats) == 0
-        assert sum(s.compiled for s in warm.worker_stats) == 0
         assert sweep_outcome_to_json(warm.plan, warm.results) == reference
 
         # Warm-anywhere: a fabric sweep over the store the *serial* path
@@ -305,20 +297,44 @@ class TestExploreSweepByteIdentity:
             == reference
         )
 
-    def test_compile_once_per_distinct_system_at_one_worker(self, tmp_path):
+    def test_two_workers_leave_only_explore_entries(self, tmp_path):
+        needs_fork()
+        spec = explore_spec()
+        reference = sweep_outcome_to_json(
+            plan_sweep(spec),
+            serial_sweep(spec, ResultCache(tmp_path / "serial")),
+        )
+        cache = ResultCache(tmp_path / "fabric")
+        outcome = run_sweep(spec, tmp_path / "queue", cache, workers=2)
+        assert (
+            sweep_outcome_to_json(outcome.plan, outcome.results)
+            == reference
+        )
+        kinds = cache.disk_stats()["kinds"]
+        assert {kind: kinds[kind]["entries"] for kind in kinds} == {
+            "explore": 6
+        }
+
+    def test_compile_once_per_distinct_system_at_one_worker(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.kernel.compiled import CompiledSystem
+
+        compiles = []
+        init = CompiledSystem.__init__
+
+        def counting_init(table, system):
+            compiles.append(system)
+            init(table, system)
+
+        monkeypatch.setattr(CompiledSystem, "__init__", counting_init)
         spec = explore_spec()
         cache = ResultCache(tmp_path / "store")
-        outcome = run_sweep(spec, tmp_path / "queue", cache, workers=1)
+        run_sweep(spec, tmp_path / "queue", cache, workers=1)
         # Each explore demo member is a distinct system: one compile
-        # each, zero revivals, and every snapshot published for the
-        # fleet.
-        assert sum(s.compiled for s in outcome.worker_stats) == 6
-        compiled_entries = [
-            entry
-            for entry in cache.store.entries()
-            if entry.kind == COMPILED_KIND
-        ]
-        assert len(compiled_entries) == 6
+        # each, and only its report is stored.
+        assert len(compiles) == 6
+        assert list(cache.disk_stats()["kinds"]) == ["explore"]
 
 
 class TestStabilizeSweep:
@@ -335,10 +351,6 @@ class TestStabilizeSweep:
             sweep_outcome_to_json(outcome.plan, outcome.results)
             == reference
         )
-        # Stabilize cells run the serial path: no compiled table is
-        # kept, revived or published.
-        assert sum(s.compiled for s in outcome.worker_stats) == 0
-        assert sum(s.compile_reuse for s in outcome.worker_stats) == 0
 
     def test_single_host_warm_store_claims_zero_cells(self, tmp_path):
         """A store warmed by ``cached_stabilize`` satisfies a sweep
@@ -360,12 +372,11 @@ class TestStabilizeSweep:
     def test_merge_names_a_missing_member(self, tmp_path):
         plan = plan_sweep(stabilize_spec())
         cache = ResultCache(tmp_path / "store")
-        tables = CompiledTableCache(cache=cache)
         first, second = plan.cells
-        execute_sweep_cell(first, cache, tables)
+        execute_sweep_cell(first, cache)
         with pytest.raises(FabricError, match="1 of 2 sweep members missing"):
             merge_sweep(plan, cache, wait_timeout=0.0)
-        execute_sweep_cell(second, cache, tables)
+        execute_sweep_cell(second, cache)
         results = merge_sweep(plan, cache)
         assert list(results) == [first.result_key, second.result_key]
 
@@ -500,7 +511,7 @@ class TestWarmProbe:
         cache = ResultCache(tmp_path)
         cell = plan_sweep(explore_spec()).cells[0]
         assert not sweep_cell_warm(cell, cache)
-        execute_sweep_cell(cell, cache, CompiledTableCache(cache))
+        execute_sweep_cell(cell, cache)
         assert sweep_cell_warm(cell, cache)
 
     def test_sweep_cell_warm_stabilize(self, tmp_path):

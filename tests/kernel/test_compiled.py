@@ -258,7 +258,7 @@ class TestSnapshot:
 
 
 class TestSnapshotCorruption:
-    """Fabric workers revive snapshots other processes published, so a
+    """A snapshot may come from another process or from disk, so a
     truncated or bit-flipped blob must be rejected at the boundary."""
 
     def grown_snapshot(self, system):
@@ -326,29 +326,6 @@ class TestSnapshotCorruption:
             SimulationError, match="corrupt compiled-system snapshot"
         ):
             CompiledSystem.from_snapshot(system, snapshot)
-
-    def test_cache_layer_treats_corrupt_snapshot_as_miss(self, tmp_path):
-        """A corrupted shared-store snapshot recompiles, never crashes."""
-        from repro.analysis.cache import (
-            COMPILED_KIND,
-            CompiledTableCache,
-            ResultCache,
-            system_fingerprint,
-        )
-
-        system = make_system()
-        base = system_fingerprint(system)
-        cache = ResultCache(tmp_path)
-        snapshot = self.grown_snapshot(system)
-        snapshot["rows"] = snapshot["rows"][:-1]
-        cache.put(COMPILED_KIND, base, snapshot)
-
-        tables = CompiledTableCache(cache=cache)
-        table = tables.table_for(system, base)
-        assert table.initial_id() == 0
-        # The poisoned snapshot counted as a miss: compiled, not reused.
-        assert tables.compiled == 1
-        assert tables.reused == 0
 
 
 class TestSimulateCompiled:

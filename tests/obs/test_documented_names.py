@@ -1,4 +1,4 @@
-"""Every span and metric name the package emits is in docs/observability.md.
+"""docs/observability.md documents exactly the span and metric names emitted.
 
 Emitted names are read from the source: the first argument of each
 ``obs.span`` / ``obs.add`` / ``obs.observe`` / ``obs.gauge_set`` call
@@ -8,6 +8,10 @@ table row.  A first-column token with a ``<placeholder>``, such as
 ``resilience.failures.<kind>``, is a wildcard: it covers every f-string
 of that shape, and every literal whose placeholder value the same row
 lists in backticks (``non_stabilizing`` in the ``<kind>`` row).
+
+The check runs both ways: every emitted name has a row, and every
+name-shaped first-column token is emitted somewhere, so a deleted
+counter cannot keep its row.
 """
 
 from __future__ import annotations
@@ -15,12 +19,17 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[2]
 SOURCE = ROOT / "src" / "repro"
 DOC = ROOT / "docs" / "observability.md"
 EMITTERS = {"span", "add", "observe", "gauge_set"}
+
+#: A first-column token that is a name: lower-case dotted segments, some
+#: of them ``<placeholder>``s.  The other tokens are code snippets
+#: (``STP_REPRO_OBS=1``, ``disable()``, ...).
+NAME = re.compile(r"[a-z_]+(?:\.(?:[a-z_]+|<\w+>))*")
 
 
 def _emitted() -> Dict[str, List[str]]:
@@ -52,23 +61,35 @@ def _emitted() -> Dict[str, List[str]]:
     return names
 
 
-def _documented() -> Tuple[Set[str], List[Tuple[re.Pattern, Set[str]]]]:
-    """First-column names, and each wildcard with the values its row lists."""
-    exact: Set[str] = set()
-    wildcards: List[Tuple[re.Pattern, Set[str]]] = []
+def _rows() -> Iterator[Tuple[List[str], Set[str]]]:
+    """Each table row's first-column tokens, and the tokens it lists."""
     for line in DOC.read_text(encoding="utf-8").splitlines():
         if not line.startswith("| `"):
             continue
         cells = line.split("|")
-        listed = set(re.findall(r"`([^`]+)`", "|".join(cells[2:])))
-        for token in re.findall(r"`([^`]+)`", cells[1]):
+        yield (
+            re.findall(r"`([^`]+)`", cells[1]),
+            set(re.findall(r"`([^`]+)`", "|".join(cells[2:]))),
+        )
+
+
+def _pattern(name: str, hole: str) -> re.Pattern:
+    """``name`` as a regex in which each ``hole`` is one name segment."""
+    return re.compile(
+        "([^.]+)".join(re.escape(part) for part in re.split(hole, name))
+    )
+
+
+def _documented() -> Tuple[Set[str], List[Tuple[re.Pattern, Set[str]]]]:
+    """First-column names, and each wildcard with the values its row lists."""
+    exact: Set[str] = set()
+    wildcards: List[Tuple[re.Pattern, Set[str]]] = []
+    for tokens, listed in _rows():
+        for token in tokens:
             if "<" not in token:
                 exact.add(token)
-                continue
-            pattern = "([^.]+)".join(
-                re.escape(part) for part in re.split(r"<\w+>", token)
-            )
-            wildcards.append((re.compile(pattern), listed))
+            else:
+                wildcards.append((_pattern(token, r"<\w+>"), listed))
     return exact, wildcards
 
 
@@ -102,4 +123,31 @@ def test_every_emitted_name_is_documented():
     ]
     assert not undocumented, (
         f"docs/observability.md has no row for {undocumented}"
+    )
+
+
+def _is_emitted(token: str, names) -> bool:
+    """True when some emission under ``src/repro`` can produce ``token``."""
+    token_pattern = _pattern(token, r"<\w+>")
+    return any(
+        token_pattern.fullmatch(name.replace("{}", "x"))
+        or _pattern(name, r"\{\}").fullmatch(token)
+        for name in names
+    )
+
+
+def test_every_documented_name_is_emitted():
+    names = _emitted()
+    tokens = [
+        token
+        for first, _ in _rows()
+        for token in first
+        if NAME.fullmatch(token)
+    ]
+    # The filter must keep the names, or this proves nothing.
+    assert {"explore", "cache.puts", "service.<code>"} <= set(tokens)
+    unemitted = [token for token in tokens if not _is_emitted(token, names)]
+    assert not unemitted, (
+        f"docs/observability.md documents {unemitted}, "
+        "which nothing under src/repro emits"
     )

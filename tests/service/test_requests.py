@@ -273,7 +273,6 @@ def test_stabilize_sweep_cells_carry_the_job_key():
 
 def test_sweep_cell_execution_is_warm_for_the_request(tmp_path):
     """A fabric worker executing the request's cell satisfies its poll."""
-    from repro.analysis.cache import CompiledTableCache
     from repro.fabric.cells import execute_sweep_cell
 
     cache = ResultCache(tmp_path / "store")
@@ -281,7 +280,7 @@ def test_sweep_cell_execution_is_warm_for_the_request(tmp_path):
         "explore", protocol="norepeat", channel="dup", input="a,b"
     )
     (cell,) = request.sweep_cells()
-    execute_sweep_cell(cell, cache, CompiledTableCache(cache))
+    execute_sweep_cell(cell, cache)
     result = cache.get(request.cache_kind, request.job_key())
     assert result is not None
     assert request.outcome(result)["all_safe"] is True

@@ -357,6 +357,20 @@ def fleet(tmp_path):
     assert not thread.is_alive()
 
 
+def settled_kind_counts(queue, kind, timeout=10.0):
+    """The ledger's per-kind counts once a ``kind`` ticket is done.
+
+    A worker publishes a cell's result before it marks the ticket done,
+    so a client can hold its answer a moment before the ledger shows it.
+    """
+    deadline = time.monotonic() + timeout
+    counts = queue.kind_counts()
+    while not counts["done"].get(kind) and time.monotonic() < deadline:
+        time.sleep(0.01)
+        counts = queue.kind_counts()
+    return counts
+
+
 def test_enqueue_dispatch_serves_via_fabric_workers(make_service, fleet):
     """dispatch="enqueue": the service publishes sweep cells and an
     external fabric worker fleet computes them."""
@@ -366,7 +380,7 @@ def test_enqueue_dispatch_serves_via_fabric_workers(make_service, fleet):
     assert message["type"] == "result"
     assert message["outcome"]["all_safe"] is True
     # The ledger shows the typed sweep cell, drained by the fleet.
-    counts = service.queue.kind_counts()
+    counts = settled_kind_counts(service.queue, "explore")
     assert counts.get("done", {}).get("explore", 0) == 1
     # A repeat of the same request is a cache hit, not a new cell.
     with ServiceClient("127.0.0.1", port) as client:
@@ -394,7 +408,8 @@ def test_enqueue_dispatch_serves_stabilize_like_inline(
     with ServiceClient("127.0.0.1", port) as client:
         message = client.call("stabilize", stabilize)
     assert message == reference
-    assert service.queue.kind_counts()["done"] == {"stabilize": 1}
+    counts = settled_kind_counts(service.queue, "stabilize")
+    assert counts["done"] == {"stabilize": 1}
 
 
 def test_enqueue_dispatch_times_out_without_a_fleet(make_service):

@@ -12,7 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.perfbench_ab import PAIRS, better_pairs, compare
+from benchmarks.perfbench_ab import (
+    NO_RESULT,
+    PAIRS,
+    better_pairs,
+    compare,
+    parse_run,
+    quartiles,
+)
 
 BENCH = json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()
@@ -102,8 +109,6 @@ def test_a_wrong_run_fails(side, bad):
 
 
 def test_a_run_without_a_result_line_fails():
-    from benchmarks.perfbench_ab import NO_RESULT
-
     head = [line() for _ in range(PAIRS - 1)] + [dict(NO_RESULT)]
     problems = compare(BENCH, results(head=head))
     assert len(problems) == len(WORKLOADS)
@@ -120,7 +125,50 @@ def test_better_pairs_tallies_pairs_by_seed():
     assert better_pairs(cold, sides) == (1, 3)
     assert better_pairs(rss, sides) == (0, 3)
     # A run without a result line drops its pair from the tally.
-    from benchmarks.perfbench_ab import NO_RESULT
-
     sides["head"] = [line(cold_s=1.9), dict(NO_RESULT), line(cold_s=3.9)]
     assert better_pairs(cold, sides) == (2, 2)
+
+
+def report(result, *why):
+    """Synthetic stdout of one ``run.py`` run: header, reasons, metrics,
+    result line."""
+    return "\n".join(
+        ["perfbench service-mixed seed=3 seconds=40 trace=0 plain_passes=6"]
+        + [f"  {reason}" for reason in why]
+        + ["  cold_s             sum of step medians 2.9 s  pass samples: 2.9"]
+        + [json.dumps(result)]
+    )
+
+
+def test_parse_run_keeps_why_a_run_is_not_correct():
+    why = (
+        "label check failed: warm_no_miss (plain pass)",
+        "failed operation: explore abc: states 12 != 13",
+    )
+    parsed = parse_run(report(line(correct=False, failed=1), *why))
+    assert parsed["correct"] is False and parsed["failed"] == 1
+    assert parsed["why"] == list(why)
+    assert parse_run(report(line()))["why"] == []
+    assert parse_run("perfbench: server did not start\n") is None
+
+
+def test_a_wrong_run_names_its_failed_checks():
+    check = "label check failed: cold_no_hit (plain pass)"
+    bad = parse_run(report(line(correct=False), check))
+    runs = [line() for _ in range(PAIRS - 1)] + [bad]
+    problems = compare(BENCH, results(head=runs))
+    assert len(problems) == len(WORKLOADS)
+    assert all(
+        problem.endswith(f"(correct=False, failed=0); {check}")
+        for problem in problems
+    )
+    missing = [line() for _ in range(PAIRS - 1)] + [dict(NO_RESULT)]
+    problems = compare(BENCH, results(head=missing))
+    assert all(problem.endswith("; no result line") for problem in problems)
+
+
+def test_quartiles_stay_inside_the_runs():
+    assert quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == (2.0, 4.0)
+    first, third = quartiles([2.0, 4.0])
+    assert 2.0 <= first <= third <= 4.0
+    assert quartiles([7.0]) == (7.0, 7.0)
