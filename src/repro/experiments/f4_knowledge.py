@@ -108,8 +108,8 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
         rows=tuple(rows),
         checks={
             "knowledge_precedes_writing": all_precede and examined > 0,
-            "knowledge_is_stable": all_stable,
-            "learning_times_monotone": all_monotone,
+            "knowledge_is_stable": all_stable and examined > 0,
+            "learning_times_monotone": all_monotone and examined > 0,
         },
         notes=(
             "K_R evaluated by quantifying over all observationally distinct "

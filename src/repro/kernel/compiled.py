@@ -28,22 +28,32 @@ and maintains:
 * **per-state safety / completion bits** -- ``output_is_safe`` /
   ``output_is_complete``, stored for each state at intern time.
 
-Rows are built through a **frame-keyed successor memo**.  An event reads
-and writes only the few configuration fields its kind names in
-:data:`repro.kernel.system.EVENT_FRAMES` (a sender step touches the
-sender and the S->R channel, a drop only its channel), and the automata
-and channels are pure.  So the successor's component ids in those fields
-are a function of the event and the parent's component ids in the same
-fields: the table keys each edge on exactly that, calls
-:meth:`System.apply <repro.kernel.system.System.apply>` only the first
-time it sees a key, and for every later edge with the same key splices
-the remembered ids into the parent's key and looks the successor up by
-key, without building a configuration.  The enabled-event list is
-memoized the same way on the two channel ids, and the safety and
-completion bits on the output id.  ``apply`` stays the only
-implementation of the dynamics; the memo only decides when to call it.
-State ids, event ids, rows and snapshots are exactly what one ``apply``
-call per edge produces.
+Rows are built through a **factored transition memo**.
+:meth:`System.apply <repro.kernel.system.System.apply>` composes a few
+per-component steps: a delivery or a drop takes the message from its
+channel, the receiving process moves
+(:meth:`~repro.kernel.system.System.sender_move` /
+:meth:`~repro.kernel.system.System.receiver_move`), its sends are
+:func:`~repro.kernel.system.put` on its outgoing channel and a
+receiver's writes are appended to the output.  The automata and
+channels are pure, so each step is a function of the one component id
+it reads plus the event's message (or the sends, or the writes).
+:meth:`CompiledSystem.row` composes the same steps over a state's key --
+its five component ids -- with one memo per step: the process move
+keyed on its state id, take and drop on the channel id, the put on the
+channel id and the sends, the append on the output id and the writes.
+Only a miss runs an automaton or a channel, so their checks (alphabet,
+no sender writes, deliverability) raise where ``apply`` would first
+raise them; a hit is a few dict lookups, and the successor is looked up
+by key without building a configuration.  The enabled-event list is
+memoized on the two channel ids and the safety and completion bits on
+the output id.  State ids, event ids, rows and snapshots are exactly
+what one ``apply`` call per edge produces, and a state's configuration
+is decoded from its key only when asked for.  On the benchmark's cold
+verification workload (``perfbench`` ``verify-cold``, traced) the
+31,398 rows cost no ``apply`` call at all; the frame-keyed memo this
+replaced keyed each edge on the three or four components an event
+touches and still called ``apply`` 57,536 times.
 
 Compilation is **lazy**: a state's row is built (and its successors
 interned) the first time the row is requested, so unreachable states cost
@@ -71,13 +81,18 @@ from repro import obs
 from repro.kernel.errors import SimulationError
 from repro.kernel.intern import ConfigurationInterner, Key
 from repro.kernel.system import (
-    ALL_FIELDS,
+    CHAN_RS,
+    CHAN_SR,
     ENABLED_FRAME,
+    EVENT_STEPS,
+    OUTPUT,
+    SENDER,
+    STEP,
     VERDICT_FRAME,
     Configuration,
     Event,
     System,
-    event_frame,
+    put,
 )
 
 #: Version tag embedded in snapshots; bump when the table layout changes.
@@ -85,23 +100,133 @@ SNAPSHOT_SCHEMA = "stp-compiled/1"
 
 Edge = Tuple[int, int]
 Row = Tuple[Edge, ...]
+Mover = Callable[[Key], Key]
 
 _ENABLED_READS = itemgetter(*ENABLED_FRAME)
 _VERDICT_READS = itemgetter(*VERDICT_FRAME)
 
 
-def _splicer(frame: Tuple[int, ...]) -> Callable[[Tuple[int, ...]], Key]:
-    """``splice(key + written)``: ``written`` in ``frame``, ``key`` elsewhere.
+class _Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``.
 
-    ``written`` holds one component id per field of ``frame``, in frame
-    order; the result is a full key.
+    A hit is one dict subscript; only a miss calls ``compute``, and an
+    exception it raises propagates with nothing stored.
     """
-    return itemgetter(
-        *(
-            len(ALL_FIELDS) + frame.index(field) if field in frame else field
-            for field in ALL_FIELDS
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _shared_memos(
+    system: System, interner: ConfigurationInterner
+) -> Tuple[Dict[int, _Memo], _Memo]:
+    """The table-wide step memos: per channel field, the put of a sends
+    tuple, ``(channel id, sends) -> channel id``; and the output append,
+    ``(output id, writes) -> output id``."""
+    component, intern = interner.component, interner.component_id
+
+    def putter(field: int, channel) -> _Memo:
+        return _Memo(
+            lambda step: intern(
+                field, put(channel, component(field, step[0]), step[1])
+            )
         )
+
+    puts = {
+        CHAN_SR: putter(CHAN_SR, system.channel_sr),
+        CHAN_RS: putter(CHAN_RS, system.channel_rs),
+    }
+    appends = _Memo(
+        lambda step: intern(OUTPUT, component(OUTPUT, step[0]) + step[1])
     )
+    return puts, appends
+
+
+def _mover(
+    system: System,
+    event: Event,
+    interner: ConfigurationInterner,
+    puts: Dict[int, _Memo],
+    appends: _Memo,
+) -> Mover:
+    """The successor key of an ``event`` edge, from the parent's key.
+
+    Composes ``event``'s steps of :meth:`System.apply` over component
+    ids (module docstring), each behind its own memo: the take from the
+    channel and the process move are ``event``'s own, ``puts`` and
+    ``appends`` are the table's (:func:`_shared_memos`).  Closes over no
+    table, so a table is freed by reference counting.
+    """
+    try:
+        take_field, process_field = EVENT_STEPS[event[:2]]
+        message = STEP if take_field is None else event[2]
+    except (KeyError, TypeError, IndexError):
+        raise SimulationError(f"unknown event {event!r}") from None
+    component, intern = interner.component, interner.component_id
+    if take_field is not None:
+        channel = (
+            system.channel_sr if take_field == CHAN_SR else system.channel_rs
+        )
+        take = (
+            channel.after_drop if process_field is None else channel.after_deliver
+        )
+        taken = _Memo(
+            lambda chan: intern(
+                take_field, take(component(take_field, chan), message)
+            )
+        )
+    if process_field is None:
+        if take_field == CHAN_SR:
+            return lambda key: (key[0], key[1], taken[key[2]], key[3], key[4])
+        return lambda key: (key[0], key[1], key[2], taken[key[3]], key[4])
+
+    move = (
+        system.sender_move if process_field == SENDER else system.receiver_move
+    )
+
+    def moved(state: int) -> Tuple[int, Tuple, Tuple]:
+        transition = move(component(process_field, state), message)
+        return (
+            intern(process_field, transition.state),
+            tuple(transition.sends),
+            transition.writes,
+        )
+
+    moves = _Memo(moved)
+    if process_field == SENDER:
+        put_sr = puts[CHAN_SR]
+
+        def successor(key: Key) -> Key:
+            s, r, sr, rs, o = key
+            if take_field is not None:
+                rs = taken[rs]
+            s, sends, _ = moves[s]
+            if sends:
+                sr = put_sr[sr, sends]
+            return (s, r, sr, rs, o)
+
+    else:
+        put_rs = puts[CHAN_RS]
+
+        def successor(key: Key) -> Key:
+            s, r, sr, rs, o = key
+            if take_field is not None:
+                sr = taken[sr]
+            r, sends, writes = moves[r]
+            if sends:
+                rs = put_rs[rs, sends]
+            if writes:
+                o = appends[o, writes]
+            return (s, r, sr, rs, o)
+
+    return successor
 
 
 class CompiledSystem:
@@ -117,6 +242,7 @@ class CompiledSystem:
     __slots__ = (
         "system",
         "_interner",
+        "_state_ids",
         "_configs",
         "_keys",
         "_safe",
@@ -129,7 +255,9 @@ class CompiledSystem:
         "_events",
         "_event_ids",
         "_event_is_drop",
-        "_moves",
+        "_movers",
+        "_puts",
+        "_appends",
         "_enabled_memo",
         "_verdict_memo",
     )
@@ -137,7 +265,8 @@ class CompiledSystem:
     def __init__(self, system: System) -> None:
         self.system = system
         self._interner = ConfigurationInterner()
-        self._configs: List[Configuration] = []
+        self._state_ids = self._interner.state_ids
+        self._configs: List[Optional[Configuration]] = []
         self._keys: List[Key] = []
         self._safe = bytearray()
         self._complete = bytearray()
@@ -149,13 +278,12 @@ class CompiledSystem:
         self._events: List[Event] = []
         self._event_ids: Dict[Event, int] = {}
         self._event_is_drop: List[bool] = []
-        # The frame-keyed memos (module docstring).  Per event id: the
-        # successor memo (parent's ids in the frame -> successor's ids in
-        # the frame), the getter of the frame's ids, the splicer, and the
-        # frame itself.
-        self._moves: List[
-            Tuple[Dict, Callable, Callable, Tuple[int, ...]]
-        ] = []
+        # The factored memos (module docstring): per event id, the
+        # successor function that holds the event's take and move memos;
+        # per channel field, (channel id, sends) -> channel id; and
+        # (output id, writes) -> output id.
+        self._movers: List[Mover] = []
+        self._puts, self._appends = _shared_memos(system, self._interner)
         # Channel ids -> enabled event ids; output id -> (safe, complete).
         self._enabled_memo: Dict[object, Tuple[int, ...]] = {}
         self._verdict_memo: Dict[object, Tuple[int, int]] = {}
@@ -165,50 +293,49 @@ class CompiledSystem:
 
     def _ensure_state(self, config: Configuration) -> int:
         """The dense id of ``config``, interning it on first sight."""
-        return self._ensure_key(self._interner.key(config), config)
+        key = self._interner.key(config)
+        state_id = self._state_ids.get(key)
+        if state_id is None:
+            state_id = self._add_state(key, config)
+        return state_id
 
-    def _ensure_key(
+    def _add_state(
         self, key: Key, config: Optional[Configuration] = None
     ) -> int:
-        """The dense id of the state with ``key``, interned on first sight.
-
-        ``config`` is that state's configuration when the caller has it;
-        otherwise it is decoded from ``key`` if the state is new.
-        """
-        state_id, is_new = self._interner.ensure_key(key)
-        if is_new:
+        """Intern the new state with ``key`` (and ``config``, if known)."""
+        state_id, _ = self._interner.ensure_key(key)
+        self._configs.append(config)
+        self._keys.append(key)
+        reads = _VERDICT_READS(key)
+        verdict = self._verdict_memo.get(reads)
+        if verdict is None:
             if config is None:
                 config = self._interner.decode(key)
-            self._configs.append(config)
-            self._keys.append(key)
-            reads = _VERDICT_READS(key)
-            verdict = self._verdict_memo.get(reads)
-            if verdict is None:
-                verdict = (
-                    1 if self.system.output_is_safe(config) else 0,
-                    1 if self.system.output_is_complete(config) else 0,
-                )
-                self._verdict_memo[reads] = verdict
-            self._safe.append(verdict[0])
-            self._complete.append(verdict[1])
-            self._rows.append(None)
-            self._rows_nodrop.append(None)
-            self._succ.append(None)
-            self._succ_nodrop.append(None)
-            self._edge_by_event.append(None)
+            verdict = (
+                1 if self.system.output_is_safe(config) else 0,
+                1 if self.system.output_is_complete(config) else 0,
+            )
+            self._verdict_memo[reads] = verdict
+        self._safe.append(verdict[0])
+        self._complete.append(verdict[1])
+        self._rows.append(None)
+        self._rows_nodrop.append(None)
+        self._succ.append(None)
+        self._succ_nodrop.append(None)
+        self._edge_by_event.append(None)
         return state_id
 
     def _ensure_event(self, event: Event) -> int:
         event_id = self._event_ids.get(event)
         if event_id is None:
+            mover = _mover(
+                self.system, event, self._interner, self._puts, self._appends
+            )
             event_id = len(self._events)
             self._event_ids[event] = event_id
             self._events.append(event)
             self._event_is_drop.append(event[0] == "drop")
-            frame = event_frame(event)
-            self._moves.append(
-                ({}, itemgetter(*frame), _splicer(frame), frame)
-            )
+            self._movers.append(mover)
         return event_id
 
     def initial_id(self) -> int:
@@ -221,53 +348,48 @@ class CompiledSystem:
         """``(event_id, next_state_id)`` edges in ``enabled_events`` order.
 
         Built on first request (interning every successor); cached
-        afterwards.  ``System.apply`` runs once per distinct event and
-        parent ids in the event's frame (module docstring), so at most
-        once per (state, event) pair and usually far less often.
+        afterwards.  An automaton or channel method runs only on a miss
+        of its step's memo (module docstring), so at most once per
+        distinct component id and message, sends or writes.
         """
         cached = self._rows[state_id]
         if cached is not None:
             return cached
-        system = self.system
-        config = self._configs[state_id]
         key = self._keys[state_id]
         reads = _ENABLED_READS(key)
         event_ids = self._enabled_memo.get(reads)
         if event_ids is None:
-            event_ids = tuple(
-                map(self._ensure_event, system.enabled_events(config))
-            )
+            enabled = self.system.enabled_events(self._interner.decode(key))
+            event_ids = tuple(map(self._ensure_event, enabled))
             self._enabled_memo[reads] = event_ids
-        moves = self._moves
-        ensure_key = self._ensure_key
+        movers = self._movers
+        state_of = self._state_ids.get
         edges: List[Edge] = []
         for event_id in event_ids:
-            memo, frame_reads, splice, frame = moves[event_id]
-            before = frame_reads(key)
-            after = memo.get(before)
-            if after is None:
-                successor = system.apply(config, self._events[event_id])
-                after = self._interner.component_ids(
-                    successor.components(), frame
-                )
-                memo[before] = after
-            edges.append((event_id, ensure_key(splice(key + after))))
+            successor = movers[event_id](key)
+            next_id = state_of(successor)
+            if next_id is None:
+                next_id = self._add_state(successor)
+            edges.append((event_id, next_id))
         row: Row = tuple(edges)
         # One guarded call per *materialized* row: the warm fast path
         # (cached return above) pays nothing.
         obs.add("compiled.rows_materialized")
         self._rows[state_id] = row
-        is_drop = self._event_is_drop
-        nodrop = tuple(edge for edge in row if not is_drop[edge[0]])
-        self._rows_nodrop[state_id] = nodrop
         return row
 
     def row_without_drops(self, state_id: int) -> Row:
-        """:meth:`row` with the environment's explicit drop moves removed."""
+        """:meth:`row` with the environment's explicit drop moves removed.
+
+        Derived lazily from the edge row on first request.
+        """
         cached = self._rows_nodrop[state_id]
         if cached is None:
-            self.row(state_id)
-            cached = self._rows_nodrop[state_id]
+            is_drop = self._event_is_drop
+            cached = tuple(
+                edge for edge in self.row(state_id) if not is_drop[edge[0]]
+            )
+            self._rows_nodrop[state_id] = cached
         return cached
 
     def succ_row(self, state_id: int) -> Tuple[int, ...]:
@@ -331,8 +453,15 @@ class CompiledSystem:
     # -- decoding / predicates -------------------------------------------
 
     def config_of(self, state_id: int) -> Configuration:
-        """The configuration interned as ``state_id``."""
-        return self._configs[state_id]
+        """The configuration interned as ``state_id``.
+
+        Decoded from the state's key on first request and cached.
+        """
+        config = self._configs[state_id]
+        if config is None:
+            config = self._interner.decode(self._keys[state_id])
+            self._configs[state_id] = config
+        return config
 
     def event_of(self, event_id: int) -> Event:
         """The event tuple interned as ``event_id``."""
@@ -348,7 +477,7 @@ class CompiledSystem:
 
     def __len__(self) -> int:
         """Number of configurations interned so far."""
-        return len(self._configs)
+        return len(self._keys)
 
     @property
     def compiled_rows(self) -> int:
@@ -366,7 +495,7 @@ class CompiledSystem:
         """A picklable export of the table (configs, rows, events, bits)."""
         return {
             "schema": SNAPSHOT_SCHEMA,
-            "configs": tuple(self._configs),
+            "configs": tuple(map(self.config_of, range(len(self)))),
             "rows": tuple(self._rows),
             "events": tuple(self._events),
             "safe": bytes(self._safe),
@@ -421,7 +550,6 @@ class CompiledSystem:
             compiled._ensure_state(config)
         for event in snapshot["events"]:  # type: ignore[union-attr]
             compiled._ensure_event(event)
-        is_drop = compiled._event_is_drop
         for state_id, row in enumerate(snapshot["rows"]):  # type: ignore[arg-type]
             if row is None:
                 continue
@@ -433,8 +561,6 @@ class CompiledSystem:
                         f"{event_count} events / {state_count} states"
                     )
             compiled._rows[state_id] = row
-            nodrop = tuple(edge for edge in row if not is_drop[edge[0]])
-            compiled._rows_nodrop[state_id] = nodrop
         return compiled
 
 

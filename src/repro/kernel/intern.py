@@ -33,7 +33,7 @@ use it without inverting the layering (kernel depends on nothing);
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.kernel.system import ALL_FIELDS, Configuration
 
@@ -47,11 +47,14 @@ class ConfigurationInterner:
     Ids are assigned in discovery order, so BFS layers map to contiguous
     id ranges and parent links always point backwards.
 
-    Besides whole configurations, states can be looked up by their key
-    (:meth:`ensure_key`) and keys decoded back (:meth:`decode`), so a
-    caller that knows which components changed -- the compiled kernel's
-    frame-keyed successor memo -- never has to build or hash a
-    :class:`Configuration` to find a state.
+    Besides whole configurations, single components can be interned
+    (:meth:`component_id`) and read back (:meth:`component`), states
+    looked up by their key (:attr:`state_ids`, :meth:`ensure_key`) and
+    keys decoded back (:meth:`decode`).  So a caller that knows how each
+    component changes -- the compiled kernel's factored transition memo,
+    which composes a successor's key from memoized per-component steps
+    -- never has to build or hash a :class:`Configuration` to find a
+    state.
     """
 
     __slots__ = ("_components", "_values", "_ids")
@@ -62,10 +65,26 @@ class ConfigurationInterner:
         self._values: Tuple[List, ...] = ([], [], [], [], [])
         self._ids: Dict[Key, int] = {}
 
-    def component_ids(self, parts: Sequence, fields: Iterable[int]) -> Key:
-        """The ids of ``parts[field]`` for each of ``fields`` (interned)."""
+    def component_id(self, field: int, part: Hashable) -> int:
+        """The id of ``part`` as a value of ``field`` (interned)."""
+        table = self._components[field]
+        part_id = table.get(part)
+        if part_id is None:
+            part_id = len(table)
+            table[part] = part_id
+            self._values[field].append(part)
+        return part_id
+
+    def component(self, field: int, part_id: int) -> Hashable:
+        """The value of ``field`` whose id is ``part_id``."""
+        return self._values[field][part_id]
+
+    def key(self, config: Configuration) -> Key:
+        """The canonical key of ``config`` (interns its components)."""
+        # component_id inlined: calling it per field doubled key()'s cost.
+        parts = config.components()
         ids = []
-        for field in fields:
+        for field in ALL_FIELDS:
             part = parts[field]
             table = self._components[field]
             part_id = table.get(part)
@@ -76,13 +95,14 @@ class ConfigurationInterner:
             ids.append(part_id)
         return tuple(ids)
 
-    def key(self, config: Configuration) -> Key:
-        """The canonical key of ``config`` (interns its components)."""
-        return self.component_ids(config.components(), ALL_FIELDS)
-
     def decode(self, key: Key) -> Configuration:
         """The configuration whose components have the ids in ``key``."""
         return Configuration(*map(list.__getitem__, self._values, key))
+
+    @property
+    def state_ids(self) -> Dict[Key, int]:
+        """Key -> dense id of every state so far (add with :meth:`ensure_key`)."""
+        return self._ids
 
     def ensure_key(self, key: Key) -> Tuple[int, bool]:
         """The dense id of the state with ``key``, plus whether it is new."""

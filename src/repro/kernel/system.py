@@ -21,9 +21,9 @@ Events are plain hashable tuples so traces and schedules serialize trivially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Final, Hashable, Iterable, Optional, Tuple
 
-from repro.kernel.errors import ChannelError, SimulationError
+from repro.kernel.errors import SimulationError
 from repro.kernel.interfaces import (
     ChannelModel,
     DataItem,
@@ -114,23 +114,19 @@ class Configuration:
         )
 
 
-#: The *frame* of each event kind (keyed on ``event[:2]``): the fields
-#: :meth:`System.apply` reads for it, which are also the only fields it
-#: writes.  Every other field of the successor is the parent's, so, the
-#: automata and channels being pure, two configurations that agree on an
-#: event's frame have successors that agree on it too.  The compiled
-#: kernel keys its successor memo on this table.  The exactness sweep in
-#: ``tests/verify/test_compiled_equivalence.py`` checks it against
-#: ``apply`` on every registered protocol and channel, and
-#: ``tests/kernel/test_compiled.py`` on the sends and writes no
-#: registered protocol makes (sends on deliveries, writes on steps).
-EVENT_FRAMES: Dict[Tuple[str, str], Tuple[int, ...]] = {
-    ("step", "S"): (SENDER, CHAN_SR),
-    ("step", "R"): (RECEIVER, CHAN_RS, OUTPUT),
-    ("deliver", "SR"): (RECEIVER, CHAN_SR, CHAN_RS, OUTPUT),
-    ("deliver", "RS"): (SENDER, CHAN_SR, CHAN_RS),
-    ("drop", "SR"): (CHAN_SR,),
-    ("drop", "RS"): (CHAN_RS,),
+#: The steps :meth:`System.apply` composes for each event kind (keyed on
+#: ``event[:2]``): the channel field a delivery or a drop takes its
+#: message from, and the field of the process that then moves (its sends
+#: go to the other channel, a receiver's writes to the output).  Every
+#: other field of the successor is the parent's.  The compiled kernel
+#: memoizes each step on the component ids it reads.
+EVENT_STEPS: Dict[Tuple[str, str], Tuple[Optional[int], Optional[int]]] = {
+    ("step", "S"): (None, SENDER),
+    ("step", "R"): (None, RECEIVER),
+    ("deliver", "SR"): (CHAN_SR, RECEIVER),
+    ("deliver", "RS"): (CHAN_RS, SENDER),
+    ("drop", "SR"): (CHAN_SR, None),
+    ("drop", "RS"): (CHAN_RS, None),
 }
 #: The fields :meth:`System.enabled_events` reads.
 ENABLED_FRAME: Tuple[int, ...] = (CHAN_SR, CHAN_RS)
@@ -138,13 +134,18 @@ ENABLED_FRAME: Tuple[int, ...] = (CHAN_SR, CHAN_RS)
 #: :meth:`System.output_is_complete` read.
 VERDICT_FRAME: Tuple[int, ...] = (OUTPUT,)
 
+#: The stimulus of a local step, in place of a delivered message
+#: (:meth:`System.sender_move`, :meth:`System.receiver_move`).
+STEP: Final = object()
 
-def event_frame(event: Event) -> Tuple[int, ...]:
-    """The fields ``event`` reads and writes (see :data:`EVENT_FRAMES`)."""
-    try:
-        return EVENT_FRAMES[event[:2]]
-    except (KeyError, TypeError):
-        raise SimulationError(f"unknown event {event!r}") from None
+
+def put(
+    channel: ChannelModel, state: Hashable, sends: Iterable[Message]
+) -> Hashable:
+    """``channel``'s state after its origin sends ``sends``, in order."""
+    for message in sends:
+        state = channel.after_send(state, message)
+    return state
 
 
 class System:
@@ -205,98 +206,109 @@ class System:
         return tuple(events)
 
     def apply(self, config: Configuration, event: Event) -> Configuration:
-        """The configuration reached by scheduling ``event`` at ``config``."""
+        """The configuration reached by scheduling ``event`` at ``config``.
+
+        Each event composes the same steps: a delivery first takes its
+        message from the channel (``after_deliver``; a drop does only
+        that, with ``after_drop``), then the receiving process moves
+        (:meth:`sender_move` / :meth:`receiver_move`), its sends are
+        :func:`put` on its outgoing channel, and a receiver's writes are
+        appended to the output.  The compiled kernel memoizes each step
+        on its own (:mod:`repro.kernel.compiled`).
+        """
         kind = event[0]
         if kind == "step":
             if event[1] == "S":
-                transition = self.sender.check_sends(
-                    self.sender.on_step(config.sender_state)
+                move = self.sender_move(config.sender_state, STEP)
+                return Configuration(
+                    move.state,
+                    config.receiver_state,
+                    put(self.channel_sr, config.chan_sr, move.sends),
+                    config.chan_rs,
+                    config.output,
                 )
-                return self._after_sender(config, transition)
             if event[1] == "R":
-                transition = self.receiver.check_sends(
-                    self.receiver.on_step(config.receiver_state)
+                move = self.receiver_move(config.receiver_state, STEP)
+                return Configuration(
+                    config.sender_state,
+                    move.state,
+                    config.chan_sr,
+                    put(self.channel_rs, config.chan_rs, move.sends),
+                    config.output + move.writes,
                 )
-                return self._after_receiver(config, transition)
             raise SimulationError(f"unknown step target in event {event!r}")
         if kind == "deliver":
             direction, message = event[1], event[2]
             if direction == "SR":
-                new_chan = self.channel_sr.after_deliver(config.chan_sr, message)
-                transition = self.receiver.check_sends(
-                    self.receiver.on_message(config.receiver_state, message)
+                chan_sr = self.channel_sr.after_deliver(config.chan_sr, message)
+                move = self.receiver_move(config.receiver_state, message)
+                return Configuration(
+                    config.sender_state,
+                    move.state,
+                    chan_sr,
+                    put(self.channel_rs, config.chan_rs, move.sends),
+                    config.output + move.writes,
                 )
-                intermediate = Configuration(
-                    sender_state=config.sender_state,
-                    receiver_state=config.receiver_state,
-                    chan_sr=new_chan,
-                    chan_rs=config.chan_rs,
-                    output=config.output,
-                )
-                return self._after_receiver(intermediate, transition)
             if direction == "RS":
-                new_chan = self.channel_rs.after_deliver(config.chan_rs, message)
-                transition = self.sender.check_sends(
-                    self.sender.on_message(config.sender_state, message)
+                chan_rs = self.channel_rs.after_deliver(config.chan_rs, message)
+                move = self.sender_move(config.sender_state, message)
+                return Configuration(
+                    move.state,
+                    config.receiver_state,
+                    put(self.channel_sr, config.chan_sr, move.sends),
+                    chan_rs,
+                    config.output,
                 )
-                intermediate = Configuration(
-                    sender_state=config.sender_state,
-                    receiver_state=config.receiver_state,
-                    chan_sr=config.chan_sr,
-                    chan_rs=new_chan,
-                    output=config.output,
-                )
-                return self._after_sender(intermediate, transition)
             raise SimulationError(f"unknown delivery direction in event {event!r}")
         if kind == "drop":
             direction, message = event[1], event[2]
             if direction == "SR":
                 return Configuration(
-                    sender_state=config.sender_state,
-                    receiver_state=config.receiver_state,
-                    chan_sr=self.channel_sr.after_drop(config.chan_sr, message),
-                    chan_rs=config.chan_rs,
-                    output=config.output,
+                    config.sender_state,
+                    config.receiver_state,
+                    self.channel_sr.after_drop(config.chan_sr, message),
+                    config.chan_rs,
+                    config.output,
                 )
             if direction == "RS":
                 return Configuration(
-                    sender_state=config.sender_state,
-                    receiver_state=config.receiver_state,
-                    chan_sr=config.chan_sr,
-                    chan_rs=self.channel_rs.after_drop(config.chan_rs, message),
-                    output=config.output,
+                    config.sender_state,
+                    config.receiver_state,
+                    config.chan_sr,
+                    self.channel_rs.after_drop(config.chan_rs, message),
+                    config.output,
                 )
             raise SimulationError(f"unknown drop direction in event {event!r}")
         raise SimulationError(f"unknown event kind in event {event!r}")
 
-    def _after_sender(
-        self, config: Configuration, transition: Transition
-    ) -> Configuration:
+    def sender_move(self, state: State, message: Message) -> Transition:
+        """The sender's transition on ``message``, or a local step on ``STEP``.
+
+        Raises :class:`~repro.kernel.errors.AlphabetError` on a send
+        outside the sender's alphabet and
+        :class:`~repro.kernel.errors.SimulationError` on a write.
+        """
+        sender = self.sender
+        transition = sender.check_sends(
+            sender.on_step(state)
+            if message is STEP
+            else sender.on_message(state, message)
+        )
         if transition.writes:
             raise SimulationError("sender transitions must not write output items")
-        chan_sr = config.chan_sr
-        for message in transition.sends:
-            chan_sr = self.channel_sr.after_send(chan_sr, message)
-        return Configuration(
-            sender_state=transition.state,
-            receiver_state=config.receiver_state,
-            chan_sr=chan_sr,
-            chan_rs=config.chan_rs,
-            output=config.output,
-        )
+        return transition
 
-    def _after_receiver(
-        self, config: Configuration, transition: Transition
-    ) -> Configuration:
-        chan_rs = config.chan_rs
-        for message in transition.sends:
-            chan_rs = self.channel_rs.after_send(chan_rs, message)
-        return Configuration(
-            sender_state=config.sender_state,
-            receiver_state=transition.state,
-            chan_sr=config.chan_sr,
-            chan_rs=chan_rs,
-            output=config.output + transition.writes,
+    def receiver_move(self, state: State, message: Message) -> Transition:
+        """The receiver's transition on ``message``, or a local step on ``STEP``.
+
+        Raises :class:`~repro.kernel.errors.AlphabetError` on a send
+        outside the receiver's alphabet.
+        """
+        receiver = self.receiver
+        return receiver.check_sends(
+            receiver.on_step(state)
+            if message is STEP
+            else receiver.on_message(state, message)
         )
 
     def deliverable_to_receiver(self, config: Configuration) -> Tuple[Message, ...]:

@@ -105,10 +105,10 @@ class OutputProjectedReceiver(ReceiverProtocol):
     """A receiver with identical dynamics whose writes are discarded.
 
     Sound as a quotient because nothing in
-    :class:`~repro.kernel.system.System` reads the output tape -- it is
-    appended in ``_after_receiver`` and consulted only by the Safety /
-    completion predicates, which corrupted-start analysis replaces with
-    legitimate-set membership.
+    :class:`~repro.kernel.system.System` reads the output tape -- a
+    receiver's writes are appended to it, and it is consulted only by the
+    Safety / completion predicates, which corrupted-start analysis
+    replaces with legitimate-set membership.
     """
 
     def __init__(self, inner: ReceiverProtocol) -> None:

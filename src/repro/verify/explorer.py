@@ -253,8 +253,8 @@ def explore_compiled(
             cache, or one warmed by a previous exploration).  A warm table
             turns the whole search into pure integer traversal -- no
             protocol or channel code runs at all.  ``None`` compiles
-            lazily from scratch, which still pays each
-            ``enabled_events`` / ``apply`` exactly once per state.
+            lazily from scratch, which runs each automaton and channel
+            step at most once per distinct component it reads.
 
     Other arguments match :func:`explore`.
     """

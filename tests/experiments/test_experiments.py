@@ -33,6 +33,28 @@ def test_a3_probabilistic_quick():
     assert not failed, f"A3 failed: {failed}"
 
 
+def test_f4_fails_on_an_empty_ensemble(monkeypatch):
+    """F4's checks quantify over the runs it examines, so an ensemble
+    with no runs must fail all three, not pass them vacuously."""
+    from repro.experiments import f4_knowledge
+
+    class NoRuns:
+        traces = ()
+
+        def __len__(self):
+            return 0
+
+    monkeypatch.setattr(
+        f4_knowledge, "exhaustive_ensemble", lambda *args, **kwargs: NoRuns()
+    )
+    result = f4_knowledge.run(seed=0, quick=True)
+    assert result.checks == {
+        "knowledge_precedes_writing": False,
+        "knowledge_is_stable": False,
+        "learning_times_monotone": False,
+    }
+
+
 def test_registry_is_complete():
     from repro.experiments.base import registry
 

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.adversaries import AgingFairAdversary, EagerAdversary, RandomAdversary
 from repro.channels import DeletingChannel, DuplicatingChannel
 from repro.kernel.compiled import CompiledSystem, compile_system
-from repro.kernel.errors import SimulationError
+from repro.kernel.errors import AlphabetError, SimulationError
 from repro.kernel.interfaces import ReceiverProtocol, SenderProtocol, Transition
 from repro.kernel.rng import DeterministicRNG
 from repro.kernel.simulator import Simulator, simulate_compiled
-from repro.kernel.system import System
+from repro.kernel.system import RECEIVER_STEP, SENDER_STEP, System
 from repro.protocols.norepeat import norepeat_protocol
 from repro.protocols.norepeat_del import bounded_del_protocol
 
@@ -34,6 +36,52 @@ def grow_fully(table, cap=5_000):
         table.row(state_id)
         state_id += 1
     return range(len(table))
+
+
+class Counting:
+    """Delegates to ``inner``, recording the arguments of each call of
+    ``methods``."""
+
+    def __init__(self, inner, methods) -> None:
+        self.inner = inner
+        self.methods = methods
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name not in self.methods:
+            return attr
+        calls = self.calls
+
+        def counted(*args):
+            calls.append((name, args))
+            return attr(*args)
+
+        return counted
+
+    def calls_of(self, method):
+        return [args for name, args in self.calls if name == method]
+
+
+class Scripted(SenderProtocol):
+    """``inner`` with its local step replaced by ``on_step``."""
+
+    def __init__(self, inner: SenderProtocol, on_step) -> None:
+        self.inner = inner
+        self._on_step = on_step
+
+    @property
+    def message_alphabet(self):
+        return self.inner.message_alphabet
+
+    def initial_state(self, input_sequence):
+        return self.inner.initial_state(input_sequence)
+
+    def on_message(self, state, message) -> Transition:
+        return self.inner.on_message(state, message)
+
+    def on_step(self, state) -> Transition:
+        return self._on_step(state)
 
 
 class ReactiveSender(SenderProtocol):
@@ -138,31 +186,75 @@ class TestRows:
         table.row(table.initial_id())
         assert table.compiled_rows == 1
 
-    def test_apply_runs_once_per_frame_transition_not_per_edge(
+    def test_each_step_runs_once_per_distinct_component_transition(
         self, monkeypatch
     ):
-        """The successor memo: the full T4 m=2 table (drops included)
-        calls ``System.apply`` strictly fewer times than it has edges."""
-        calls = []
-        real_apply = System.apply
-
-        def counting_apply(self, config, event):
-            calls.append(event)
-            return real_apply(self, config, event)
-
-        monkeypatch.setattr(System, "apply", counting_apply)
+        """The factored memo: on the full T4 m=2 table (drops included)
+        ``row`` never calls ``System.apply``, and every automaton and
+        channel method runs at most once per distinct component and
+        argument -- far fewer calls than the table has edges."""
+        applied = []
+        monkeypatch.setattr(
+            System, "apply", lambda self, config, event: applied.append(event)
+        )
         sender, receiver = bounded_del_protocol("ab")
+        wrapped = {
+            "S": Counting(sender, ("on_step", "on_message")),
+            "R": Counting(receiver, ("on_step", "on_message")),
+            "SR": Counting(
+                DeletingChannel(max_copies=2),
+                ("after_deliver", "after_drop", "after_send"),
+            ),
+            "RS": Counting(
+                DeletingChannel(max_copies=2),
+                ("after_deliver", "after_drop", "after_send"),
+            ),
+        }
         system = System(
-            sender,
-            receiver,
-            DeletingChannel(max_copies=2),
-            DeletingChannel(max_copies=2),
-            ("a", "b"),
+            wrapped["S"], wrapped["R"], wrapped["SR"], wrapped["RS"], ("a", "b")
         )
         table = CompiledSystem(system)
         edges = sum(len(table.row(sid)) for sid in grow_fully(table))
-        assert any(event[0] == "drop" for event in calls)
-        assert 0 < len(calls) < edges
+
+        assert applied == []
+        for counted in wrapped.values():
+            for method in ("on_step", "on_message", "after_deliver", "after_drop"):
+                calls = counted.calls_of(method)
+                assert len(calls) == len(set(calls)), method
+        assert wrapped["SR"].calls_of("after_drop")
+        assert wrapped["RS"].calls_of("after_drop")
+        # Each distinct (channel state, sends) pair is put once, one
+        # ``after_send`` per message.
+        puts = {"SR": set(), "RS": set()}
+        for state_id in range(len(table)):
+            config = table.config_of(state_id)
+            for event_id, _ in table.row(state_id):
+                event = table.event_of(event_id)
+                if event[0] == "drop":
+                    continue
+                if event in (SENDER_STEP, RECEIVER_STEP):
+                    process = event[1]
+                    message = ()
+                else:
+                    process = event[1][1]
+                    message = (event[2],)
+                automaton, out = (
+                    (sender, "SR") if process == "S" else (receiver, "RS")
+                )
+                method = "on_message" if message else "on_step"
+                state = config.sender_state if process == "S" else (
+                    config.receiver_state
+                )
+                sends = getattr(automaton, method)(state, *message).sends
+                chan = config.chan_sr if out == "SR" else config.chan_rs
+                if sends:
+                    puts[out].add((chan, tuple(sends)))
+        for out, pairs in puts.items():
+            assert len(wrapped[out].calls_of("after_send")) <= sum(
+                len(sends) for _, sends in pairs
+            )
+        total = sum(len(counted.calls) for counted in wrapped.values())
+        assert 0 < total < edges
 
     def test_sends_and_writes_on_any_event_stay_exact(self):
         sender, receiver = norepeat_protocol(("a", "b"))
@@ -188,6 +280,86 @@ class TestRows:
         assert isinstance(table, CompiledSystem)
         table.initial_id()
         assert len(table) == 1
+
+
+class TestCompiledChecks:
+    """``row`` runs ``apply``'s checks and frees its tables."""
+
+    def test_sender_write_is_rejected(self):
+        sender, receiver = norepeat_protocol(("a",))
+        system = System(
+            Scripted(sender, on_step=lambda state: Transition(state, (), ("x",))),
+            receiver,
+            DuplicatingChannel(),
+            DuplicatingChannel(),
+            ("a",),
+        )
+        with pytest.raises(SimulationError, match="must not write"):
+            system.apply(system.initial(), SENDER_STEP)
+        table = CompiledSystem(system)
+        with pytest.raises(SimulationError, match="must not write"):
+            table.row(table.initial_id())
+
+    def test_out_of_alphabet_send_is_rejected(self):
+        sender, receiver = norepeat_protocol(("a",))
+        system = System(
+            Scripted(sender, on_step=lambda state: Transition(state, ("zz",))),
+            receiver,
+            DuplicatingChannel(),
+            DuplicatingChannel(),
+            ("a",),
+        )
+        with pytest.raises(AlphabetError):
+            system.apply(system.initial(), SENDER_STEP)
+        table = CompiledSystem(system)
+        with pytest.raises(AlphabetError):
+            table.row(table.initial_id())
+
+    def test_sends_given_as_a_list_match_apply(self):
+        sender, receiver = norepeat_protocol(("a", "b"))
+
+        def listed(state):
+            transition = sender.on_step(state)
+            return Transition(transition.state, list(transition.sends))
+
+        system = System(
+            Scripted(sender, on_step=listed),
+            receiver,
+            DuplicatingChannel(),
+            DuplicatingChannel(),
+            ("a", "b"),
+        )
+        table = CompiledSystem(system)
+        for state_id in grow_fully(table):
+            config = table.config_of(state_id)
+            for event_id, next_id in table.row(state_id):
+                assert table.config_of(next_id) == system.apply(
+                    config, table.event_of(event_id)
+                )
+
+    def test_dropped_table_needs_no_cycle_collector(self):
+        def tables():
+            return sum(
+                isinstance(obj, CompiledSystem) for obj in gc.get_objects()
+            )
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = tables()
+            table = CompiledSystem(
+                make_system(channel=lambda: DeletingChannel(max_copies=2))
+            )
+            grow_fully(table)
+            table.row_without_drops(0)
+            table.succ_row(0)
+            table.step(0, SENDER_STEP)
+            table.config_of(len(table) - 1)
+            del table
+            after = tables()
+        finally:
+            gc.enable()
+        assert after == before
 
 
 class TestStep:

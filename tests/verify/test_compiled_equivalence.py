@@ -76,12 +76,12 @@ class TestCompiledEquivalence:
     def test_every_edge_is_one_apply_step(
         self, protocol, channel, input_sequence
     ):
-        """The frame-keyed successor memo against ``apply`` itself.
+        """The factored transition memo against ``apply`` itself.
 
-        Rows are built from memoized frame transitions, so every edge of
-        the table materialized up to ``MAX_STATES`` rows, and every
-        state's bits, must equal what the object-graph functions give
-        for that state's own configuration.
+        Rows are composed from memoized per-component steps, so every
+        edge of the table materialized up to ``MAX_STATES`` rows, and
+        every state's bits, must equal what the object-graph functions
+        give for that state's own configuration.
         """
         system = build_system(protocol, channel, input_sequence)
         table = CompiledSystem(system)
