@@ -68,9 +68,10 @@ CACHE_SCHEMA = "stp-repro-cache/1"
 #: Environment variable overriding the default cache root.
 CACHE_ENV_VAR = "STP_REPRO_CACHE"
 
-#: Exhaustive-exploration engines: the scalar oracle and the batched
-#: frontier engine proven bit-identical to it.
-ENGINES = ("scalar", "batched")
+#: The values the retired ``engine`` keyword still accepts, and ignores.
+#: Exploration has one fast engine and stabilization one search; the
+#: keyword survives because the benchmark in ``perfbench/`` passes it.
+RETIRED_ENGINE_NAMES = ("scalar", "batched")
 
 
 def _default_root() -> Path:
@@ -198,8 +199,6 @@ def explore_report_key(
     :func:`cached_explore`'s warm probe and the service coalescer
     (:mod:`repro.service`) key through here, so a request fingerprinted
     by one layer always finds work the other layer started or finished.
-    ``engine`` is deliberately absent -- reports are bit-identical across
-    both engines, so they share one address.
     """
     return fingerprint(
         "explore", system_fingerprint(system), max_states, include_drops
@@ -220,9 +219,7 @@ def stabilize_report_key(
 
     Shared by :func:`cached_stabilize` and the service coalescer, same
     discipline as :func:`explore_report_key`.  The key pins everything
-    the corrupt initial set and its verdicts depend on; ``engine`` is
-    excluded because multi-source verdicts are bit-identical across
-    engines.
+    the corrupt initial set and its verdicts depend on.
     """
     base = system_fingerprint(system)
     return fingerprint(
@@ -371,45 +368,47 @@ class ResultCache:
         )
 
 
+def check_retired_engine(engine: Optional[str], error=ValueError) -> None:
+    """Accept ``engine`` as ``None`` or a :data:`RETIRED_ENGINE_NAMES`
+    value, which changes nothing; raise ``error`` on any other value, so
+    a misspelt name still fails loudly."""
+    if engine is not None and engine not in RETIRED_ENGINE_NAMES:
+        raise error(
+            f"unknown engine {engine!r}; the retired engine keyword "
+            f"accepts only {RETIRED_ENGINE_NAMES}"
+        )
+
+
 def cached_explore(
     system,
     max_states: int = 1_000_000,
     include_drops: bool = True,
     cache: Optional[ResultCache] = None,
-    engine: str = "scalar",
+    engine: Optional[str] = None,
 ):
-    """Exhaustive exploration behind the cache, on any engine.
+    """:func:`~repro.verify.explorer.explore_compiled` behind the cache.
 
     On a report hit the stored :class:`ExplorationReport` is returned
     verbatim (bit-identical to recomputation).  On a miss the search runs
     over a freshly compiled table and only the report is stored: a cold
     call makes one store read and one store write.  The table is not
     stored, because nothing would revive it -- the members of a family
-    are distinct systems, each explored once.
+    are distinct systems, each explored once.  ``engine`` is retired:
+    see :func:`check_retired_engine`.
 
-    Args:
-        engine: ``"scalar"`` for
-            :func:`~repro.verify.explorer.explore_compiled`, ``"batched"``
-            for :func:`~repro.kernel.frontier.explore_batched`.  Reports
-            are bit-identical across both, so they share one report key:
-            a sweep run on either engine warms the cache for the other.
-
-    With ``cache=None`` this is exactly the chosen engine, uncached.
+    With ``cache=None`` this is exactly ``explore_compiled``, uncached.
     """
-    from repro.kernel.frontier import explore_batched
     from repro.verify.explorer import explore_compiled
 
-    if engine not in ENGINES:
-        raise ValueError(f"unknown explorer engine: {engine!r}")
-    explore_fn = explore_compiled if engine == "scalar" else explore_batched
+    check_retired_engine(engine)
     if cache is None:
-        return explore_fn(
+        return explore_compiled(
             system, max_states=max_states, include_drops=include_drops
         )
     report_key = explore_report_key(system, max_states, include_drops)
     report = cache.get("explore", report_key)
     if report is None:
-        report = explore_fn(
+        report = explore_compiled(
             system, max_states=max_states, include_drops=include_drops
         )
         cache.put("explore", report_key, report)
@@ -419,7 +418,7 @@ def cached_explore(
 def cached_stabilize(
     system,
     cache: Optional[ResultCache] = None,
-    engine: str = "batched",
+    engine: Optional[str] = None,
     sample: Optional[int] = None,
     seed: int = 0,
     max_states: int = 500_000,
@@ -434,28 +433,23 @@ def cached_stabilize(
     its per-source verdicts depend on: the system, the exploration
     budget, the corruption mode, the channel forge depth and the
     sampling identity; ``domain`` enters the key as the caller names
-    it.  ``engine`` is deliberately *not* part of the key --
-    multi-source verdicts are bit-identical across engines
-    (property-swept by ``tests/resilience/test_stabilize.py``), so a
-    sweep run on either engine warms the cache for the other; on a hit
-    the stored result is re-stamped with the requested engine label.
-    The stored
+    it.  The stored
     :class:`~repro.resilience.stabilize.StabilizationResult` carries the
     ``corrupt_fingerprint`` of the set it judged, so report consumers
     can cross-check which corrupt enumeration a cached verdict sheet
-    belongs to.
+    belongs to.  ``engine`` is retired: see :func:`check_retired_engine`.
 
     With ``cache=None`` this is exactly
     :func:`~repro.resilience.stabilize.analyze_stabilization`, uncached.
     """
-    import dataclasses
-
+    from repro.kernel.errors import VerificationError
     from repro.resilience.stabilize import analyze_stabilization
+
+    check_retired_engine(engine, VerificationError)
 
     def compute():
         return analyze_stabilization(
             system,
-            engine=engine,
             sample=sample,
             seed=seed,
             max_states=max_states,
@@ -481,8 +475,7 @@ def cached_stabilize(
     if result is None:
         result = compute()
         cache.put("stabilize", key, result)
-        return result
-    return dataclasses.replace(result, engine=engine)
+    return result
 
 
 class CompiledTableCache:

@@ -16,8 +16,7 @@ Subcommands:
   liveness traps (states from which completion is unreachable);
 * ``report`` -- regenerate EXPERIMENTS.md;
 * ``explore`` -- exhaustively explore one protocol/channel/input system
-  and print its report; ``--engine batched`` uses the level-synchronous
-  frontier engine (bit-identical reports);
+  and print its report;
 * ``cache`` -- inspect and manage the content-addressed result cache:
   ``cache stats`` (on-disk shape, ``--json`` for machine form),
   ``cache clear`` (wipe), ``cache prune --max-size N`` (evict oldest
@@ -40,9 +39,8 @@ Subcommands:
   initial configurations of each protocol x channel pair (scrambled
   local states, forged bounded channel contents), multi-source-BFS from
   all of them, and report per-source stabilization verdicts and depths;
-  ``--engine`` selects the frontier engine (verdicts are bit-identical
-  across both engines), ``--sample N --seed S`` analyzes a seeded
-  subsample, ``--out`` writes a perf artifact with the
+  ``--sample N --seed S`` analyzes a seeded subsample, ``--out`` writes
+  a perf artifact with the
   ``recovery.stabilization_*`` gauges attached;
 * ``serve`` -- run the verification service: an asyncio front-end
   speaking newline-delimited JSON (schema ``stp-service/1``) that
@@ -70,7 +68,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.cache import ENGINES
 from repro.core.alpha import alpha
 from repro.experiments.base import _MODULES, run_experiment
 from repro.kernel.errors import KernelError
@@ -123,19 +120,6 @@ def _add_profile_arguments(parser) -> None:
     )
 
 
-def _add_engine_arguments(parser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="scalar",
-        help=(
-            "exhaustive-exploration engine: 'scalar' walks states one at "
-            "a time, 'batched' expands whole frontier levels over the "
-            "compiled table (identical reports, faster)"
-        ),
-    )
-
-
 def _cmd_run(args) -> int:
     with _profiled(args, label="stp-repro run"):
         return _run_experiments(args)
@@ -152,7 +136,6 @@ def _run_experiments(args) -> int:
             seed=args.seed,
             quick=args.quick,
             workers=args.workers,
-            engine=getattr(args, "engine", "scalar"),
         )
         print(result.rendered)
         if result.notes:
@@ -345,12 +328,10 @@ def _cmd_explore(args) -> int:
             max_states=args.max_states,
             include_drops=not args.no_drops,
             cache=cache,
-            engine=args.engine,
         )
     except (KernelError, ValueError) as error:
         print(f"cannot explore this system: {error}", file=sys.stderr)
         return 2
-    print(f"engine:     {args.engine}")
     print(f"states:     {report.states}")
     print(f"expanded:   {report.expanded_states}")
     print(f"peak layer: {report.peak_frontier}")
@@ -425,7 +406,6 @@ def _run_stabilize(args) -> int:
                 result = cached_stabilize(
                     system,
                     cache=cache,
-                    engine=args.engine,
                     sample=args.sample,
                     seed=args.seed,
                     max_states=args.max_states,
@@ -928,7 +908,6 @@ def _request_params(args) -> dict:
             "channel": args.channel,
             "input": args.input,
             "max_states": args.max_states,
-            "engine": args.engine,
         }
     if args.kind == "stabilize":
         params = {
@@ -1045,7 +1024,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=1,
         help="process-parallel campaign sweeps (identical results)",
     )
-    _add_engine_arguments(run_parser)
     _add_profile_arguments(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
@@ -1122,7 +1100,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="DIR",
         help="memoize via the content-addressed cache rooted here",
     )
-    _add_engine_arguments(explore_parser)
     explore_parser.set_defaults(func=_cmd_explore)
 
     cache_parser = sub.add_parser(
@@ -1440,8 +1417,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "the recovery.stabilization_* gauges attached"
         ),
     )
-    _add_engine_arguments(stabilize_parser)
-    stabilize_parser.set_defaults(func=_cmd_stabilize, engine="batched")
+    stabilize_parser.set_defaults(func=_cmd_stabilize)
     _add_profile_arguments(stabilize_parser)
 
     serve_parser = sub.add_parser(
@@ -1569,9 +1545,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--domain", default=None, help="stabilize: extra domain letters"
     )
     request_parser.add_argument("--max-states", type=int, default=100_000)
-    request_parser.add_argument(
-        "--engine", choices=ENGINES, default="scalar",
-    )
     request_parser.add_argument(
         "--spec",
         default=None,

@@ -27,10 +27,13 @@ import math
 from abc import ABC, abstractmethod
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.kernel.errors import EncodingError, VerificationError
+from repro.kernel.errors import (
+    EncodingError,
+    EncodingSearchExhausted,
+    VerificationError,
+)
 from repro.core.sequences import (
     is_prefix,
-    is_proper_prefix,
     is_repetition_free,
     longest_common_prefix,
     repetition_free_sequences,
@@ -251,16 +254,23 @@ def build_prefix_monotone_encoding(
 
     Strategy, mirroring the paper's closing remarks of Section 3:
 
-    1. if the family is already a set of repetition-free sequences over the
+    1. reject a family with more than ``alpha(m)`` members, or with more
+       than ``m!`` maximal members (members that are no other member's
+       proper prefix): maximal members are pairwise incomparable, so
+       their images must be incomparable repetition-free sequences, and
+       incomparable sequences extend to disjoint sets of the ``m!`` full
+       permutations;
+    2. if the family is already a set of repetition-free sequences over the
        alphabet, use the identity (the ``alpha(m)``-tight case);
-    2. if the family is an antichain of size at most ``m!``, map members to
-       distinct full permutations;
-    3. otherwise run a backtracking search assigning members to
+    3. if the family is an antichain (so at most ``m!`` members), map
+       members to distinct full permutations;
+    4. otherwise run a backtracking search assigning members to
        repetition-free sequences under the monotonicity constraint.
 
-    Raises :class:`EncodingError` when no encoding exists
-    (in particular whenever ``len(family) > alpha(m)``) or when the search
-    exceeds ``search_limit`` constraint checks.
+    Raises :class:`EncodingError` when no encoding exists, and its
+    subclass :class:`~repro.kernel.errors.EncodingSearchExhausted` when
+    the search exceeds ``search_limit`` constraint checks without
+    deciding.
     """
     from repro.core.alpha import alpha
 
@@ -276,6 +286,17 @@ def build_prefix_monotone_encoding(
             f"family of size {len(members)} exceeds alpha({len(alphabet)}) = "
             f"{capacity}: no prefix-monotone encoding exists (Theorem 1)"
         )
+    proper_prefixes = {
+        member[:cut] for member in members for cut in range(len(member))
+    }
+    maximal = sum(member not in proper_prefixes for member in members)
+    leaves = math.factorial(len(alphabet))
+    if maximal > leaves:
+        raise EncodingError(
+            f"family has {maximal} maximal members but only "
+            f"{len(alphabet)}! = {leaves} full permutations exist: no "
+            f"prefix-monotone encoding"
+        )
 
     # Fast path 1: identity.
     if all(
@@ -285,11 +306,8 @@ def build_prefix_monotone_encoding(
     ):
         return TableEncoding({member: member for member in members})
 
-    # Fast path 2: antichain onto permutations.
-    antichain = not any(
-        is_proper_prefix(a, b) for a in members for b in members if a != b
-    )
-    if antichain and len(members) <= math.factorial(len(alphabet)):
+    # Fast path 2: antichain onto permutations (at most m! members, above).
+    if maximal == len(members):
         permutations = itertools.permutations(alphabet)
         table = {
             member: perm for member, perm in zip(sorted(members, key=repr), permutations)
@@ -318,7 +336,7 @@ def build_prefix_monotone_encoding(
         for other, other_image in assignment.items():
             budget[0] -= 1
             if budget[0] <= 0:
-                raise EncodingError(
+                raise EncodingSearchExhausted(
                     f"encoding search exceeded {search_limit} constraint checks"
                 )
             if is_prefix(image, other_image) and not is_prefix(member, other):

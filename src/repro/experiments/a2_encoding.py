@@ -10,22 +10,26 @@ boundaries:
 * the full repetition-free family (``alpha(m)`` members) -- identity, OK;
 * an antichain of exactly ``m!`` members -- permutations, OK;
 * an antichain of ``m! + 1`` members -- must fail (incomparable members
-  need incomparable images, and only ``m!`` leaves exist);
+  need incomparable images, and only ``m!`` leaves exist); the builder
+  rejects it by that count, without a search;
 * a prefix chain of ``m + 1`` members -- a single path suffices;
 * the overfull family (``alpha(m) + 1``) -- must fail (counting).
 
-Every produced encoding is validated against the Encoding laws.
+Every produced encoding is validated against the Encoding laws.  A
+search that runs out of budget decides nothing: its row reads
+"unknown" and its check fails.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.tables import render_table
 from repro.core.alpha import alpha
 from repro.core.encoding import EncodingError, build_prefix_monotone_encoding
 from repro.experiments.base import ExperimentResult
+from repro.kernel.errors import EncodingSearchExhausted
 from repro.workloads import (
     antichain_family,
     overfull_family,
@@ -36,11 +40,15 @@ from repro.workloads import (
 LETTERS = "abcdefgh"
 
 
-def _attempt(family, alphabet) -> Tuple[bool, object]:
+def _attempt(family, alphabet) -> Tuple[Optional[bool], object]:
+    """``(encodable, detail)``; ``encodable`` is None when the search ran
+    out of budget before deciding."""
     try:
         encoding = build_prefix_monotone_encoding(family, alphabet)
         encoding.validate()
         return True, max((len(encoding.encode(x)) for x in encoding.family), default=0)
+    except EncodingSearchExhausted as error:
+        return None, str(error)[:48]
     except EncodingError as error:
         return False, str(error)[:48]
 
@@ -84,7 +92,8 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
             ok, detail = _attempt(family, alphabet)
             label = name.replace(" ", "_").replace("!", "fact").replace("+", "p")
             checks[f"m{m}_{label}_matches_theory"] = ok == expected
-            rows.append((m, name, len(family), expected, ok, detail))
+            encodable = "unknown" if ok is None else ok
+            rows.append((m, name, len(family), expected, encodable, detail))
         checks[f"m{m}_alpha_counts"] = len(repetition_free_family(alphabet)) == alpha(
             m
         )

@@ -92,18 +92,15 @@ def run_experiment(
     quick: bool = False,
     workers: int = 1,
     cache=None,
-    engine: str = "scalar",
 ) -> ExperimentResult:
     """Run one experiment by id.
 
     ``workers`` requests process-parallel campaign sweeps and ``cache`` (a
     :class:`repro.analysis.cache.ResultCache`) memoizes exploration and
-    campaign results by content; ``engine`` picks the
-    exhaustive-exploration engine for experiments with exhaustive columns
-    (see :func:`repro.analysis.cache.cached_explore`).  Each option is
-    forwarded to experiments whose entry point accepts it (results are
-    identical either way) and silently ignored by experiments that have
-    nothing to shard, memoize, or explore.
+    campaign results by content.  Each option is forwarded to
+    experiments whose entry point accepts it (results are identical
+    either way) and silently ignored by experiments that have nothing to
+    shard or memoize.
     """
     module_name = _MODULES.get(experiment_id.upper())
     if module_name is None:
@@ -117,6 +114,4 @@ def run_experiment(
         kwargs["workers"] = workers
     if cache is not None and "cache" in parameters:
         kwargs["cache"] = cache
-    if engine != "scalar" and "engine" in parameters:
-        kwargs["engine"] = engine
     return module.run(**kwargs)

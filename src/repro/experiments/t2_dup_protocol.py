@@ -65,16 +65,12 @@ def run(
     quick: bool = False,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
-    engine: str = "scalar",
 ) -> ExperimentResult:
     """Build Table 2.
 
     ``workers`` shards the randomized campaigns over processes; ``cache``
-    memoizes campaign runs and exhaustive explorations by content;
-    ``engine`` picks the exhaustive-exploration engine (the batched
-    frontier engine is bit-identical to the scalar one).  The table is
-    identical at any worker count, with or without the cache, on either
-    engine.
+    memoizes campaign runs and exhaustive explorations by content.  The
+    table is identical at any worker count, with or without the cache.
     """
     rng = DeterministicRNG(seed, "t2")
     sizes = (1, 2) if quick else (1, 2, 3, 4)
@@ -140,7 +136,6 @@ def run(
                     system,
                     max_states=500_000,
                     cache=cache,
-                    engine=engine,
                 )
                 total_states += report.states
                 all_safe = (

@@ -50,13 +50,11 @@ def run(
     seed: int = 0,
     quick: bool = False,
     cache: Optional[ResultCache] = None,
-    engine: str = "scalar",
 ) -> ExperimentResult:
     """Build Table 4.
 
-    ``cache`` memoizes the exhaustive explorations by content, and
-    ``engine`` picks the exhaustive-exploration engine; the table is
-    identical with or without the cache, on either engine.
+    ``cache`` memoizes the exhaustive explorations by content; the table
+    is identical with or without it.
     """
     rng = DeterministicRNG(seed, "t4")
     sizes = (1, 2) if quick else (1, 2, 3)
@@ -104,7 +102,6 @@ def run(
                     max_states=500_000,
                     include_drops=True,
                     cache=cache,
-                    engine=engine,
                 )
                 total += report.states
                 all_safe = (

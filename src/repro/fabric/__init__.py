@@ -51,8 +51,6 @@ _EXPORTS: Dict[str, str] = {
     # planner
     "CAMPAIGN_CELL_KIND": "repro.fabric.planner",
     "CAMPAIGN_OUTCOME_KIND": "repro.fabric.planner",
-    "CELL_KIND": "repro.fabric.planner",
-    "SERVICE_CELL_KIND": "repro.fabric.planner",
     "FabricPlan": "repro.fabric.planner",
     "WorkCell": "repro.fabric.planner",
     "plan_cells": "repro.fabric.planner",

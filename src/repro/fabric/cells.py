@@ -150,7 +150,6 @@ def _execute_explore(
         max_states=cell.max_states,
         include_drops=cell.include_drops,
         cache=cache,
-        engine="batched",
     )
 
 
@@ -183,7 +182,7 @@ def _execute_stabilize(
     if heartbeat is not None:
         heartbeat()
     # The serial path: one analysis, one ``stabilize`` entry.
-    cached_stabilize(system, cache=cache, engine="batched", **knobs)
+    cached_stabilize(system, cache=cache, **knobs)
 
 
 def merge_stabilize_member(

@@ -268,7 +268,7 @@ def run_sweep(
     Same shape as :func:`run_fabric`, but over explore/stabilize sweep
     cells: plan, enqueue cold cells (self-describing tickets), drive
     workers, then merge per-member results.  A sweep whose members were
-    all computed before -- by any engine, worker fleet, or the plain
+    all computed before -- by any worker fleet, or by the plain
     ``cached_*`` single-host path -- enqueues nothing and claims
     nothing.
     """
@@ -335,7 +335,6 @@ def serial_sweep(spec: SweepSpec, cache: ResultCache) -> Dict[str, object]:
                 max_states=spec.max_states,
                 include_drops=spec.include_drops,
                 cache=cache,
-                engine="batched",
             )
         else:
             domain = spec.member_domain(items)
@@ -345,7 +344,6 @@ def serial_sweep(spec: SweepSpec, cache: ResultCache) -> Dict[str, object]:
             results[result_key] = cached_stabilize(
                 system,
                 cache=cache,
-                engine="batched",
                 sample=spec.sample,
                 seed=spec.seed,
                 max_states=spec.max_states,

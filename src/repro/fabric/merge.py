@@ -194,16 +194,14 @@ def _explore_payload(report) -> Dict[str, object]:
 
 
 def _stabilize_payload(result) -> Dict[str, object]:
-    """A timing-free, engine-free JSON projection of one verdict sheet.
+    """A timing-free JSON projection of one verdict sheet.
 
-    Drops ``engine`` on top of timing so the projection is
-    byte-identical no matter how the member was computed -- serial or
-    by a fabric worker, on either engine.  The full repr-sorted verdict
-    sheet is included: that is the field the byte-equality CI gate
-    actually proves distributed/serial agreement on.
+    Byte-identical no matter how the member was computed -- serial or by
+    a fabric worker.  The full repr-sorted verdict sheet is included:
+    that is the field the byte-equality CI gate actually proves
+    distributed/serial agreement on.
     """
     payload = dict(result.summary())
-    payload.pop("engine", None)
     payload["verdicts"] = [
         [repr(config), bool(ok), depth]
         for config, ok, depth in result.verdicts
@@ -221,8 +219,8 @@ def sweep_outcome_to_json(
 
     One entry per member in plan order, each carrying the member's grid
     coordinates plus a timing-free payload projection, so renderings
-    from any engine, worker count, or warm/cold mix are byte-equal iff
-    the underlying verdicts agree.
+    from any worker count or warm/cold mix are byte-equal iff the
+    underlying verdicts agree.
     """
     members = []
     for protocol, channel, items, result_key in plan.members():

@@ -48,11 +48,6 @@ CAMPAIGN_CELL_KIND = "run"
 #: answered from the store without re-planning or re-merging.
 CAMPAIGN_OUTCOME_KIND = "campaign"
 
-#: Pre-multi-kind aliases, kept for callers written against the PR 8
-#: campaign-only fabric.  New code should use the ``CAMPAIGN_*`` names.
-CELL_KIND = CAMPAIGN_CELL_KIND
-SERVICE_CELL_KIND = CAMPAIGN_OUTCOME_KIND
-
 
 @dataclass(frozen=True)
 class WorkCell:

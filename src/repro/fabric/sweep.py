@@ -21,10 +21,9 @@ workloads onto the same queue/store machinery:
   into a shared queue for remote worker fleets to drain.
 
 Because cell ids are the live cache fingerprints, warm-anywhere holds in
-both directions: a sweep warmed by either engine (``scalar`` /
-``batched``) yields zero claimed cells on re-run, and a drained sweep
-answers later ``cached_explore`` / ``cached_stabilize`` calls from the
-store.
+both directions: a sweep warmed by plain ``cached_explore`` /
+``cached_stabilize`` calls yields zero claimed cells on re-run, and a
+drained sweep answers later calls from the store.
 
 The system builders here (:func:`build_explore_system` /
 :func:`build_stabilize_system`) are the single source of truth shared

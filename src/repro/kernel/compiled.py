@@ -47,8 +47,8 @@ no sender writes, deliverability) raise where ``apply`` would first
 raise them; a hit is a few dict lookups, and the successor is looked up
 by key without building a configuration.  The enabled-event list is
 memoized on the two channel ids and the safety and completion bits on
-the output id.  State ids, event ids, rows and snapshots are exactly
-what one ``apply`` call per edge produces, and a state's configuration
+the output id.  State ids, event ids and rows are exactly what one
+``apply`` call per edge produces, and a state's configuration
 is decoded from its key only when asked for.  On the benchmark's cold
 verification workload (``perfbench`` ``verify-cold``, traced) the
 31,398 rows cost no ``apply`` call at all; the frame-keyed memo this
@@ -64,10 +64,9 @@ monotonically as far as its users walk it.
 The integer fast paths that consume this table are
 :func:`repro.verify.explorer.explore_compiled` and
 :func:`repro.kernel.simulator.simulate_compiled`; both produce
-bit-identical results to their object-graph twins.  A populated table can
-be exported with :meth:`CompiledSystem.snapshot` and revived with
-:meth:`CompiledSystem.from_snapshot` in another process.  The result
-cache (:mod:`repro.analysis.cache`) stores reports, not tables: each
+bit-identical results to their object-graph twins.  Tables live only as
+long as the search that built them: the result cache
+(:mod:`repro.analysis.cache`) stores reports, not tables, because each
 family member is a distinct system explored once, so a stored table
 would never be revived.
 """
@@ -94,9 +93,6 @@ from repro.kernel.system import (
     System,
     put,
 )
-
-#: Version tag embedded in snapshots; bump when the table layout changes.
-SNAPSHOT_SCHEMA = "stp-compiled/1"
 
 Edge = Tuple[int, int]
 Row = Tuple[Edge, ...]
@@ -398,12 +394,10 @@ class CompiledSystem:
         The event labels are dropped and duplicate targets collapsed (a
         state reached by several enabled events appears once), which is
         exactly the view a set-based frontier sweep needs.  Self-loops are
-        kept: whether a self-edge matters is the *consumer's* policy (the
-        batched engine prunes them because set-BFS evolution is unchanged
-        without them).
+        kept: whether a self-edge matters is the *consumer's* policy.
 
-        Derived lazily from the edge row on first request, so scalar
-        users (which never call this) pay nothing for the cache.
+        Derived lazily from the edge row on first request, so users that
+        walk edge rows (which never call this) pay nothing for the cache.
         """
         cached = self._succ[state_id]
         if cached is None:
@@ -489,79 +483,26 @@ class CompiledSystem:
         """Number of distinct events interned so far."""
         return len(self._events)
 
-    # -- snapshots ---------------------------------------------------------
+    # -- retired names -----------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """A picklable export of the table (configs, rows, events, bits)."""
-        return {
-            "schema": SNAPSHOT_SCHEMA,
-            "configs": tuple(map(self.config_of, range(len(self)))),
-            "rows": tuple(self._rows),
-            "events": tuple(self._events),
-            "safe": bytes(self._safe),
-            "complete": bytes(self._complete),
-        }
+        """Retired: tables are no longer exported.
+
+        Kept only because the benchmark's tracer
+        (``perfbench/tracing.py``) wraps this name and refuses to run
+        when a target no longer resolves.  Raises
+        :class:`~repro.kernel.errors.SimulationError`.
+        """
+        raise SimulationError("compiled-table snapshots are retired")
 
     @classmethod
     def from_snapshot(
         cls, system: System, snapshot: Dict[str, object]
     ) -> "CompiledSystem":
-        """Revive a compiled table for ``system`` from :meth:`snapshot`.
-
-        The snapshot must come from an identical system (the caller
-        guarantees this, for instance by comparing
-        :func:`~repro.analysis.cache.system_fingerprint`); ids are
-        re-assigned in the stored order, so they match the exporting
-        process exactly.
-
-        A malformed snapshot -- mismatched table lengths, or a row edge
-        referencing an out-of-range event or state id -- raises
-        :class:`~repro.kernel.errors.SimulationError` instead of
-        producing a table that fails later mid-traversal.  A snapshot
-        may come from another process or from disk, so a truncated or
-        corrupted blob must be rejected at the boundary.
-        """
-        if snapshot.get("schema") != SNAPSHOT_SCHEMA:
-            raise SimulationError(
-                f"unsupported compiled-system snapshot: "
-                f"{snapshot.get('schema')!r}"
-            )
-        configs = snapshot["configs"]
-        events = snapshot["events"]
-        rows = snapshot["rows"]
-        safe = snapshot.get("safe", b"")
-        complete = snapshot.get("complete", b"")
-        state_count = len(configs)  # type: ignore[arg-type]
-        event_count = len(events)  # type: ignore[arg-type]
-        if len(rows) != state_count:  # type: ignore[arg-type]
-            raise SimulationError(
-                f"corrupt compiled-system snapshot: {len(rows)} rows "  # type: ignore[arg-type]
-                f"for {state_count} configurations"
-            )
-        if len(safe) != state_count or len(complete) != state_count:  # type: ignore[arg-type]
-            raise SimulationError(
-                "corrupt compiled-system snapshot: predicate bit arrays "
-                f"({len(safe)}/{len(complete)}) do not cover "  # type: ignore[arg-type]
-                f"{state_count} configurations"
-            )
-        compiled = cls(system)
-        obs.add("compiled.tables_revived")
-        for config in snapshot["configs"]:  # type: ignore[union-attr]
-            compiled._ensure_state(config)
-        for event in snapshot["events"]:  # type: ignore[union-attr]
-            compiled._ensure_event(event)
-        for state_id, row in enumerate(snapshot["rows"]):  # type: ignore[arg-type]
-            if row is None:
-                continue
-            for event_id, next_id in row:
-                if not (0 <= event_id < event_count and 0 <= next_id < state_count):
-                    raise SimulationError(
-                        f"corrupt compiled-system snapshot: row {state_id} "
-                        f"edge ({event_id}, {next_id}) exceeds "
-                        f"{event_count} events / {state_count} states"
-                    )
-            compiled._rows[state_id] = row
-        return compiled
+        """Retired with :meth:`snapshot`; kept only because
+        ``perfbench/tracing.py`` wraps this name.  Raises
+        :class:`~repro.kernel.errors.SimulationError`."""
+        raise SimulationError("compiled-table snapshots are retired")
 
 
 def compile_system(system: System) -> CompiledSystem:

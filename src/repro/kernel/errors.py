@@ -43,3 +43,12 @@ class VerificationError(KernelError):
 
 class EncodingError(KernelError):
     """No valid encoding exists for the requested sequence family."""
+
+
+class EncodingSearchExhausted(EncodingError):
+    """An encoding search ran out of its budget before deciding.
+
+    Not a proof that no encoding exists: a caller that reads
+    :class:`EncodingError` as "not encodable" must treat this one as
+    "unknown".
+    """

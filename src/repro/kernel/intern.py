@@ -27,8 +27,7 @@ Why this is both exact and fast:
   configuration is.
 
 This module lives in the kernel so that :mod:`repro.kernel.compiled` can
-use it without inverting the layering (kernel depends on nothing);
-:mod:`repro.verify.intern` re-exports it for existing importers.
+use it without inverting the layering (kernel depends on nothing).
 """
 
 from __future__ import annotations

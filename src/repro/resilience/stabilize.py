@@ -48,22 +48,12 @@ The pipeline, end to end:
     the per-source "levels until legitimate" verdict.  Both are computed
     with two backward BFS passes over the reversed graph, so they are
     invariant under state-id renumbering: verdicts cannot depend on the
-    engine or shard count that produced the graph.
+    order in which the graph was built.
 
-**Sharding.**  Per-source verdicts depend only on the subgraph
-reachable from that source: a path out of a source never leaves its
-reachable set, so the shortest depth into ``L`` and trap-reachability
-computed on the restriction equal those computed on the full
-multi-source graph.  That makes the corrupt set embarrassingly
-partitionable: :func:`shard_of_source` deals each source (by the digest
-of its ``repr``) onto one of ``shard_count`` shards,
-:func:`analyze_stabilization_shard` judges one shard's sources on its
-own reachable subgraph, and :func:`merge_stabilization_shards`
-reassembles the full :class:`StabilizationResult` -- bit-identical
-(timing aside) to the single-host analysis.  The work fabric does not
-shard: under full corruption each shard's BFS reaches most of the
-illegitimate graph, so a shard costs about as much as its member, and
-a fabric ``stabilize`` cell runs one member's whole analysis instead.
+The corrupt set is judged in one piece.  Splitting it by source does
+not pay: under full corruption each part's BFS reaches most of the
+illegitimate graph, so a part costs about as much as the whole, and a
+fabric ``stabilize`` cell runs one member's whole analysis instead.
 """
 
 from __future__ import annotations
@@ -75,7 +65,7 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.kernel.compiled import CompiledSystem
@@ -262,8 +252,7 @@ def corrupt_initial_set(
     )
 
 
-#: A corrupt source with its ``repr``, which orders, digests and
-#: partitions it.
+#: A corrupt source with its ``repr``, which orders and digests it.
 _Source = Tuple[str, Configuration]
 
 
@@ -276,8 +265,8 @@ def _corrupt_pairs(
     include_drops: bool,
 ) -> List[_Source]:
     """:func:`corrupt_initial_set` as ``repr``-sorted ``(repr, config)``
-    pairs, so callers that key, digest or partition by ``repr`` compute
-    each one once."""
+    pairs, so callers that sort or digest by ``repr`` compute each one
+    once."""
     if corruption not in CORRUPTION_MODES:
         raise VerificationError(
             f"unknown corruption mode {corruption!r}; "
@@ -345,8 +334,8 @@ def corrupt_set_fingerprint(configs: Sequence[Configuration]) -> str:
 def _fingerprint_of_reprs(reprs: Iterable[str]) -> str:
     """The schema tag, then each ``repr`` and a newline, digested.
 
-    Stored results and shard keys carry this digest, so the byte layout
-    must not change without a :data:`CORRUPTION_SCHEMA` bump.
+    Stored results carry this digest, so the byte layout must not
+    change without a :data:`CORRUPTION_SCHEMA` bump.
     """
     text = CORRUPTION_SCHEMA + "".join(item + "\n" for item in reprs)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -369,7 +358,7 @@ def _judge(
     *trap* -- a state with no path into the legitimate set at all.  Two
     backward BFS passes over the reversed graph; both quantities are
     graph-isomorphism invariants, which is what makes verdicts
-    engine-independent.
+    independent of state-id numbering.
     """
     reverse: Dict[int, List[int]] = {sid: [] for sid in adjacency}
     depth: Dict[int, int] = {}
@@ -424,14 +413,13 @@ class StabilizationResult:
         depth_histogram: ``((depth, count), ...)`` over stabilizing
             sources, depth-sorted.
         verdicts: ``((configuration, stabilizes, depth), ...)`` for every
-            source, ``repr``-sorted -- the field the equivalence sweeps
-            compare bit-for-bit across engines and shard counts.
+            source, ``repr``-sorted.
         non_stabilizing_examples: up to 5 witness configurations.
         converges: True iff every source stabilizes -- the protocol is
             self-stabilizing over this corrupt set.
         corrupt_fingerprint: digest of the enumerated corrupt set.
         corruption: the corruption mode analyzed.
-        engine / sample / seed: how the run was made.
+        sample / seed: which corrupt starts were analyzed.
         elapsed_seconds / states_per_second: timing.
     """
 
@@ -447,7 +435,6 @@ class StabilizationResult:
     converges: bool
     corrupt_fingerprint: str
     corruption: str
-    engine: str
     sample: Optional[int]
     seed: int
     elapsed_seconds: float
@@ -466,7 +453,6 @@ class StabilizationResult:
             "converges": self.converges,
             "corrupt_fingerprint": self.corrupt_fingerprint,
             "corruption": self.corruption,
-            "engine": self.engine,
             "sample": self.sample,
             "seed": self.seed,
         }
@@ -478,7 +464,7 @@ class StabilizationResult:
 
 def analyze_stabilization(
     system: System,
-    engine: str = "batched",
+    engine: Optional[str] = None,
     sample: Optional[int] = None,
     seed: int = 0,
     max_states: int = 500_000,
@@ -489,31 +475,27 @@ def analyze_stabilization(
 ) -> StabilizationResult:
     """Exhaustive corrupted-start analysis of one system.
 
-    ``engine`` is a label: "scalar" is accepted for CLI symmetry and
-    runs the batched multi-source BFS too -- there is no per-state order
-    for a set-seeded BFS to preserve; ``sample`` (with ``seed``)
-    analyzes a seeded deterministic subsample of the enumerated corrupt
-    set instead of all of it.  ``domain`` does not change the analysis:
-    it is accepted so callers can pass the same data-item domain that
-    identifies the run in :func:`~repro.analysis.cache.stabilize_report_key`.
+    ``sample`` (with ``seed``) analyzes a seeded deterministic subsample
+    of the enumerated corrupt set instead of all of it.  ``domain`` does
+    not change the analysis: it is accepted so callers can pass the same
+    data-item domain that identifies the run in
+    :func:`~repro.analysis.cache.stabilize_report_key`.
     ``include_drops`` should stay True on lossy channels: explicit drop
-    moves are how the corrupt in-flight garbage drains.
+    moves are how the corrupt in-flight garbage drains.  ``engine`` is
+    retired (see :func:`~repro.analysis.cache.check_retired_engine`).
     """
-    from repro.analysis.cache import ENGINES
+    from repro.analysis.cache import check_retired_engine
 
-    if engine not in ENGINES:
-        raise VerificationError(
-            f"unknown engine {engine!r}; known: {ENGINES}"
-        )
+    check_retired_engine(engine, VerificationError)
     if not obs.enabled():
         return _analyze(
-            system, engine, sample, seed, max_states, channel_depth,
-            include_drops, corruption,
+            system, sample, seed, max_states, channel_depth, include_drops,
+            corruption,
         )
-    with obs.span("stabilize", engine=engine) as span:
+    with obs.span("stabilize") as span:
         result = _analyze(
-            system, engine, sample, seed, max_states, channel_depth,
-            include_drops, corruption,
+            system, sample, seed, max_states, channel_depth, include_drops,
+            corruption,
         )
         span.set(
             sources=result.sources,
@@ -524,17 +506,7 @@ def analyze_stabilization(
         return result
 
 
-@dataclass
-class _StabilizePrep:
-    """Everything the verdict phase needs, shared by host and shard paths."""
-
-    table: CompiledSystem
-    legitimate: FrozenSet[int]
-    corrupt: List[_Source]
-    fingerprint: str
-
-
-def _prepare(
+def _analyze(
     system: System,
     sample: Optional[int],
     seed: int,
@@ -542,24 +514,11 @@ def _prepare(
     channel_depth: Optional[int],
     include_drops: bool,
     corruption: str,
-    table: Optional[CompiledSystem] = None,
-) -> _StabilizePrep:
-    """Legitimate set, corrupt enumeration, and its fingerprint.
-
-    The deterministic prefix every shard recomputes identically (and the
-    single-host path computes once): because the enumeration and
-    sampling are pure functions of the system and knobs, shards on
-    different workers agree on the exact corrupt set, its order, and
-    fingerprint without any coordination.  ``table`` lets a fabric worker
-    hand in a revived :class:`~repro.kernel.compiled.CompiledSystem` for
-    the *projected* system -- verdicts are id-invariant, so a table grown
-    by another process is as good as a fresh compile.  Sources are not
-    interned here: each path interns only the sources it judges.
-    """
-    if table is None:
-        table = CompiledSystem(projected_system(system))
-
-    # The legitimate set: one single-source run of the same BFS core.
+) -> StabilizationResult:
+    """The legitimate set, the corrupt enumeration, one multi-source BFS
+    from every corrupt source, and one verdict per source."""
+    start = time.perf_counter()
+    table = CompiledSystem(projected_system(system))
     legit_ids, _ = explore_multi_source_batched(
         table, (table.initial_id(),), frozenset(),
         max_states=max_states, include_drops=include_drops,
@@ -577,36 +536,8 @@ def _prepare(
         corrupt = sorted(
             random.Random(seed).sample(corrupt, sample), key=itemgetter(0)
         )
-    return _StabilizePrep(
-        table=table,
-        legitimate=legitimate,
-        corrupt=corrupt,
-        fingerprint=_fingerprint_of_reprs(text for text, _ in corrupt),
-    )
 
-
-def _judge_sources(
-    prep: _StabilizePrep,
-    sources: Sequence[_Source],
-    max_states: int,
-    include_drops: bool,
-    heartbeat=None,
-) -> Tuple[
-    set, List[int], Tuple[Tuple[Configuration, bool, Optional[int]], ...]
-]:
-    """Multi-source BFS from ``sources`` and one verdict per source.
-
-    ``sources`` is all of ``prep.corrupt`` on the host path and one
-    shard's slice of it on the shard path, in verdict order; only these
-    are interned into the table.  Returns ``(visited, source_ids,
-    verdicts)``: the illegitimate states the BFS reached, each source's
-    state id, and ``((configuration, stabilizes, depth), ...)`` over
-    ``sources``.
-    """
-    table = prep.table
-    legitimate = prep.legitimate
-    ensure = table._ensure_state
-    source_ids = [ensure(config) for _, config in sources]
+    source_ids = [table._ensure_state(config) for _, config in corrupt]
     visited, _widths = explore_multi_source_batched(
         table,
         source_ids,
@@ -614,9 +545,6 @@ def _judge_sources(
         max_states=max_states,
         include_drops=include_drops,
     )
-    if heartbeat is not None:
-        heartbeat()
-
     successor = (
         table.succ_row if include_drops else table.succ_row_without_drops
     )
@@ -634,30 +562,15 @@ def _judge_sources(
 
     verdicts = tuple(
         (config, *verdict_of(sid))
-        for (_, config), sid in zip(sources, source_ids)
+        for (_, config), sid in zip(corrupt, source_ids)
     )
-    return visited, source_ids, verdicts
-
-
-def _result(
-    verdicts: Tuple[Tuple[Configuration, bool, Optional[int]], ...],
-    sources: int,
-    legitimate_states: int,
-    explored_states: int,
-    elapsed_seconds: float,
-    **labels,
-) -> StabilizationResult:
-    """The verdict sheet's summary fields, derived from its verdicts.
-
-    ``labels`` carries the fields that only describe the run:
-    ``corrupt_fingerprint``, ``corruption``, ``engine``, ``sample`` and
-    ``seed``.
-    """
     stabilizing_depths = [d for _, ok, d in verdicts if ok]
     non_stabilizing = [config for config, ok, _ in verdicts if not ok]
+    explored_states = len(legitimate) + len(visited)
+    elapsed = time.perf_counter() - start
     return StabilizationResult(
-        sources=sources,
-        legitimate_states=legitimate_states,
+        sources=len(corrupt),
+        legitimate_states=len(legitimate),
         explored_states=explored_states,
         stabilizing=len(stabilizing_depths),
         non_stabilizing=len(non_stabilizing),
@@ -666,247 +579,41 @@ def _result(
         verdicts=verdicts,
         non_stabilizing_examples=tuple(non_stabilizing[:5]),
         converges=not non_stabilizing,
-        elapsed_seconds=elapsed_seconds,
-        states_per_second=(
-            explored_states / elapsed_seconds if elapsed_seconds > 0 else 0.0
-        ),
-        **labels,
-    )
-
-
-def _analyze(
-    system: System,
-    engine: str,
-    sample: Optional[int],
-    seed: int,
-    max_states: int,
-    channel_depth: Optional[int],
-    include_drops: bool,
-    corruption: str,
-) -> StabilizationResult:
-    start = time.perf_counter()
-    prep = _prepare(
-        system, sample, seed, max_states, channel_depth, include_drops,
-        corruption,
-    )
-    visited, _ids, verdicts = _judge_sources(
-        prep, prep.corrupt, max_states, include_drops
-    )
-    return _result(
-        verdicts,
-        sources=len(prep.corrupt),
-        legitimate_states=len(prep.legitimate),
-        explored_states=len(prep.legitimate) + len(visited),
-        elapsed_seconds=time.perf_counter() - start,
-        corrupt_fingerprint=prep.fingerprint,
+        corrupt_fingerprint=_fingerprint_of_reprs(text for text, _ in corrupt),
         corruption=corruption,
-        engine=engine,
         sample=sample,
         seed=seed,
+        elapsed_seconds=elapsed,
+        states_per_second=explored_states / elapsed if elapsed > 0 else 0.0,
     )
 
 
 # ---------------------------------------------------------------------------
-# sharding: partition the corrupt set, judge per shard, merge bit-identically
+# retired names
 # ---------------------------------------------------------------------------
 
 
-def _repr_digest(text: str) -> bytes:
-    """A stable 16-byte digest of one configuration's ``repr`` (for the
-    visited-set union)."""
-    return hashlib.sha256(text.encode()).digest()[:16]
+def analyze_stabilization_shard(*_args, **_kwargs):
+    """Retired: the corrupt set is no longer split into shards.
 
-
-def shard_of_source(source_repr: str, shard_count: int) -> int:
-    """The shard owning one corrupt source, given its ``repr``.
-
-    Keyed by the digest of the source's ``repr`` -- which every process
-    derives identically from the ``repr``-sorted corrupt enumeration --
-    salted with :data:`CORRUPTION_SCHEMA` so partition assignments shift
-    whenever the enumeration semantics do.
+    Kept only because the benchmark's tracer (``perfbench/tracing.py``)
+    wraps this name and refuses to run when a target no longer
+    resolves.  Raises :class:`~repro.kernel.errors.VerificationError`;
+    call :func:`analyze_stabilization`.
     """
-    digest = hashlib.sha256(
-        (CORRUPTION_SCHEMA + source_repr).encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "big") % max(1, shard_count)
+    raise VerificationError(
+        "stabilization shards are retired; call analyze_stabilization"
+    )
 
 
-@dataclass(frozen=True)
-class StabilizationShard:
-    """One shard's verdicts plus the agreement fields merging checks.
+def merge_stabilization_shards(*_args, **_kwargs):
+    """Retired with :func:`analyze_stabilization_shard`.
 
-    ``sources`` / ``legitimate_states`` / ``corrupt_fingerprint``
-    describe the *full* analysis (every shard recomputes the
-    deterministic prefix and must agree on them); ``verdicts`` covers
-    only the sources :func:`shard_of_source` assigned here,
-    ``repr``-sorted.  ``visited_digests`` holds the digest of the
-    ``repr`` of each illegitimate state this shard's BFS visited -- the
-    merge unions them to reconstruct the single-host ``explored_states``
-    count exactly.
+    Kept only because ``perfbench/tracing.py`` wraps this name.  Raises
+    :class:`~repro.kernel.errors.VerificationError`.
     """
-
-    shard_index: int
-    shard_count: int
-    corruption: str
-    sample: Optional[int]
-    seed: int
-    sources: int
-    legitimate_states: int
-    corrupt_fingerprint: str
-    verdicts: Tuple[Tuple[Configuration, bool, Optional[int]], ...]
-    visited_digests: FrozenSet[bytes]
-    elapsed_seconds: float
-
-
-def analyze_stabilization_shard(
-    system: System,
-    shard_index: int,
-    shard_count: int,
-    sample: Optional[int] = None,
-    seed: int = 0,
-    max_states: int = 500_000,
-    channel_depth: Optional[int] = None,
-    include_drops: bool = True,
-    corruption: str = "full",
-    table: Optional[CompiledSystem] = None,
-    heartbeat=None,
-) -> StabilizationShard:
-    """Corrupted-start verdicts for one shard of the corrupt set.
-
-    Sound because per-source verdicts are reachable-subgraph-local (see
-    the module docstring): judging this shard's sources on the graph
-    reachable from them alone yields exactly the verdicts the full
-    multi-source analysis assigns them.  ``table`` accepts a revived
-    compiled table for the *projected* system; ``heartbeat`` (a no-arg
-    callable) is invoked between phases so a fabric worker can keep its
-    queue lease fresh through a long BFS.
-    """
-    if not (0 <= shard_index < shard_count):
-        raise VerificationError(
-            f"shard_index {shard_index} out of range for "
-            f"{shard_count} shards"
-        )
-    start = time.perf_counter()
-    prep = _prepare(
-        system, sample, seed, max_states, channel_depth, include_drops,
-        corruption, table=table,
-    )
-    if heartbeat is not None:
-        heartbeat()
-    mine = [
-        source
-        for source in prep.corrupt
-        if shard_of_source(source[0], shard_count) == shard_index
-    ]
-    visited, source_ids, verdicts = _judge_sources(
-        prep, mine, max_states, include_drops, heartbeat=heartbeat
-    )
-    # Sources arrive with their repr; other visited states need one.
-    texts = dict(zip(source_ids, (text for text, _ in mine)))
-    config_of = prep.table.config_of
-    digests = frozenset(
-        _repr_digest(texts.get(sid) or repr(config_of(sid)))
-        for sid in visited
-    )
-    return StabilizationShard(
-        shard_index=shard_index,
-        shard_count=shard_count,
-        corruption=corruption,
-        sample=sample,
-        seed=seed,
-        sources=len(prep.corrupt),
-        legitimate_states=len(prep.legitimate),
-        corrupt_fingerprint=prep.fingerprint,
-        verdicts=verdicts,
-        visited_digests=digests,
-        elapsed_seconds=time.perf_counter() - start,
-    )
-
-
-def merge_stabilization_shards(
-    shards: Sequence[StabilizationShard],
-) -> StabilizationResult:
-    """Reassemble shard verdicts into the single-host result.
-
-    Deterministic in everything but timing: verdicts are the
-    ``repr``-sorted concatenation (equal to the single-host verdict
-    order because the shards partition the same ``repr``-sorted corrupt
-    set), and ``explored_states`` is rebuilt from the union of the
-    shards' visited digests.  The timing fields are *sums over the
-    stored shards*, so two workers racing to merge the same shard
-    payloads publish byte-identical results.  Raises
-    :class:`VerificationError` on an incomplete or disagreeing shard
-    set, on a source judged twice, and on a verdict held by a shard
-    :func:`shard_of_source` does not assign it to.
-    """
-    if not shards:
-        raise VerificationError("no stabilization shards to merge")
-    ordered = sorted(shards, key=lambda shard: shard.shard_index)
-    first = ordered[0]
-    indices = [shard.shard_index for shard in ordered]
-    if (
-        len(ordered) != first.shard_count
-        or set(indices) != set(range(first.shard_count))
-    ):
-        raise VerificationError(
-            f"shard indices {indices} do not cover "
-            f"0..{first.shard_count - 1} exactly once"
-        )
-    agreement = (
-        first.shard_count, first.corruption, first.sample, first.seed,
-        first.sources, first.legitimate_states, first.corrupt_fingerprint,
-    )
-    for shard in ordered[1:]:
-        if (
-            shard.shard_count, shard.corruption, shard.sample, shard.seed,
-            shard.sources, shard.legitimate_states,
-            shard.corrupt_fingerprint,
-        ) != agreement:
-            raise VerificationError(
-                f"shard {shard.shard_index} disagrees with shard "
-                f"{first.shard_index} on the deterministic prefix "
-                "(corrupt set / legitimate set / knobs)"
-            )
-    keyed = sorted(
-        (
-            (repr(verdict[0]), shard.shard_index, verdict)
-            for shard in ordered
-            for verdict in shard.verdicts
-        ),
-        key=itemgetter(0),
-    )
-    if len(keyed) != first.sources:
-        raise VerificationError(
-            f"merged verdicts cover {len(keyed)} sources, "
-            f"expected {first.sources}"
-        )
-    previous = None
-    for text, shard_index, _verdict in keyed:
-        if text == previous:
-            raise VerificationError(
-                f"two merged verdicts judge the same source {text}"
-            )
-        owner = shard_of_source(text, first.shard_count)
-        if owner != shard_index:
-            raise VerificationError(
-                f"shard {shard_index} holds a verdict for a source "
-                f"assigned to shard {owner}: {text}"
-            )
-        previous = text
-    visited_union: FrozenSet[bytes] = frozenset().union(
-        *(shard.visited_digests for shard in ordered)
-    )
-    return _result(
-        tuple(verdict for _, _, verdict in keyed),
-        sources=first.sources,
-        legitimate_states=first.legitimate_states,
-        explored_states=first.legitimate_states + len(visited_union),
-        elapsed_seconds=sum(shard.elapsed_seconds for shard in ordered),
-        corrupt_fingerprint=first.corrupt_fingerprint,
-        corruption=first.corruption,
-        engine="batched",
-        sample=first.sample,
-        seed=first.seed,
+    raise VerificationError(
+        "stabilization shards are retired; call analyze_stabilization"
     )
 
 

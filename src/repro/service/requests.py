@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.cache import ENGINES
+from repro.analysis.cache import RETIRED_ENGINE_NAMES
 from repro.service.protocol import (
     VERIFY_KINDS,
     BadRequest,
@@ -65,6 +65,19 @@ def _field(params: Dict[str, object], name: str, default, types) -> object:
             f"parameter {name!r} must be {types!r}, got {value!r}", field=name
         )
     return value
+
+
+def _check_retired_engine(params: Dict[str, object]) -> None:
+    """Accept the retired ``engine`` field as ``scalar`` or ``batched``
+    and ignore it; any other value is a ``bad_request`` (docs/service.md).
+    """
+    engine = _field(params, "engine", RETIRED_ENGINE_NAMES[0], str)
+    if engine not in RETIRED_ENGINE_NAMES:
+        raise BadRequest(
+            f"unknown engine {engine!r}",
+            field="engine",
+            known=list(RETIRED_ENGINE_NAMES),
+        )
 
 
 def _items(params: Dict[str, object], name: str = "input") -> Tuple[str, ...]:
@@ -124,7 +137,6 @@ class ExploreRequest:
     items: Tuple[str, ...]
     max_states: int = 100_000
     include_drops: bool = True
-    engine: str = "scalar"
 
     kind = "explore"
     cache_kind = "explore"
@@ -143,11 +155,7 @@ class ExploreRequest:
                 f"unknown explore parameters: {sorted(unknown)}",
                 known=sorted(known),
             )
-        engine = _field(params, "engine", "scalar", str)
-        if engine not in ENGINES:
-            raise BadRequest(
-                f"unknown engine {engine!r}", field="engine", known=list(ENGINES)
-            )
+        _check_retired_engine(params)
         max_states = int(_field(params, "max_states", 100_000, int))
         if max_states < 1:
             raise BadRequest("max_states must be >= 1", field="max_states")
@@ -165,7 +173,6 @@ class ExploreRequest:
             items=_items(params),
             max_states=max_states,
             include_drops=bool(_field(params, "include_drops", True, bool)),
-            engine=engine,
         )
         request.system()  # registry validation at the front door
         return request
@@ -212,7 +219,6 @@ class ExploreRequest:
             max_states=self.max_states,
             include_drops=self.include_drops,
             cache=cache,
-            engine=self.engine,
         )
         return self.outcome(report)
 
@@ -262,7 +268,6 @@ class StabilizeRequest:
     channel_depth: Optional[int] = None
     sample: Optional[int] = None
     seed: int = 0
-    engine: str = "batched"
     capacity: int = 1
 
     kind = "stabilize"
@@ -283,11 +288,7 @@ class StabilizeRequest:
                 f"unknown stabilize parameters: {sorted(unknown)}",
                 known=sorted(known),
             )
-        engine = _field(params, "engine", "batched", str)
-        if engine not in ENGINES:
-            raise BadRequest(
-                f"unknown engine {engine!r}", field="engine", known=list(ENGINES)
-            )
+        _check_retired_engine(params)
         from repro.resilience.stabilize import CORRUPTION_MODES
 
         corruption = _field(params, "corruption", "full", str)
@@ -330,7 +331,6 @@ class StabilizeRequest:
             channel_depth=channel_depth,
             sample=sample,
             seed=int(_field(params, "seed", 0, int)),
-            engine=str(engine),
             capacity=int(_field(params, "capacity", 1, int)),
         )
         request.system()
@@ -407,7 +407,6 @@ class StabilizeRequest:
             result = cached_stabilize(
                 self.system(),
                 cache=cache,
-                engine=self.engine,
                 sample=self.sample,
                 seed=self.seed,
                 max_states=self.max_states,
@@ -431,16 +430,11 @@ class StabilizeRequest:
         return self.outcome(result)
 
     def outcome(self, result) -> Dict[str, object]:
-        """The engine-independent projection of a stabilization result.
+        """The JSON projection of a stabilization result.
 
-        ``engine`` is an execution detail excluded from the report key,
-        so it is stripped here too -- coalesced requests naming
-        different engines still read identical bytes.  A
-        non-stabilizing protocol is a *finding*, not an error.
+        A non-stabilizing protocol is a *finding*, not an error.
         """
-        payload = dict(result.summary())
-        payload.pop("engine", None)
-        return payload
+        return dict(result.summary())
 
 
 @dataclass(frozen=True)

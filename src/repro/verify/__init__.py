@@ -23,7 +23,7 @@ on), so a cell verified warm by any worker -- or by a plain serial run
 from repro.verify.safety import check_safety, SafetyVerdict
 from repro.verify.liveness import check_liveness, LivenessVerdict
 from repro.verify.explorer import explore, explore_compiled, ExplorationReport
-from repro.kernel.frontier import explore_batched, explore_multi_source_batched
+from repro.kernel.frontier import explore_multi_source_batched
 from repro.verify.deadlock import (
     assert_outage_recoverable,
     find_liveness_trap,
@@ -46,7 +46,6 @@ __all__ = [
     "explore",
     "explore_compiled",
     "ExplorationReport",
-    "explore_batched",
     "explore_multi_source_batched",
     "assert_outage_recoverable",
     "find_liveness_trap",

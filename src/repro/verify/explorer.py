@@ -15,7 +15,7 @@ configurations yields:
 
 The search is *compact*: visited configurations are interned to dense
 integer ids keyed by their tuple of component ids
-(:mod:`repro.verify.intern`), so the visited structure holds one 5-tuple
+(:mod:`repro.kernel.intern`), so the visited structure holds one 5-tuple
 of small ints per state and never retains
 :class:`~repro.kernel.system.Configuration` objects (only the current and
 next BFS layers are materialized).  With ``store_parents=False`` even the
@@ -249,8 +249,8 @@ def explore_compiled(
 
     Args:
         compiled: an existing :class:`~repro.kernel.compiled.CompiledSystem`
-            for ``system`` to reuse (e.g. a table revived from the result
-            cache, or one warmed by a previous exploration).  A warm table
+            for ``system`` to reuse (e.g. one warmed by a previous
+            exploration).  A warm table
             turns the whole search into pure integer traversal -- no
             protocol or channel code runs at all.  ``None`` compiles
             lazily from scratch, which runs each automaton and channel

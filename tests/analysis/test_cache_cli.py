@@ -1,10 +1,9 @@
-"""The cache management CLI and the engine-aware ``cached_explore``.
+"""The cache management CLI and ``cached_explore``'s retired ``engine``.
 
-Covers the ``stp-repro cache`` subcommand (stats / clear / prune), the
-``explore`` subcommand's engine switches, and the cache-layer contracts
-the frontier engine added: batched runs share the scalar report key
-(cross-engine hits), and a cold run stores its report and nothing
-else.
+Covers the ``stp-repro cache`` subcommand (stats / clear / prune) and
+the cache-layer contracts: a call naming the retired ``engine`` equals
+one without it and shares its report key, a misspelt engine still
+fails, and a cold run stores its report and nothing else.
 """
 
 from __future__ import annotations
@@ -63,13 +62,7 @@ class TestCacheSubcommand:
         root = tmp_path / "cache"
         assert (
             main(
-                [
-                    "explore",
-                    "--engine",
-                    "batched",
-                    "--cache-dir",
-                    str(root),
-                ]
+                ["explore", "--cache-dir", str(root)]
             )
             == 0
         )

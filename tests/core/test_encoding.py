@@ -15,6 +15,7 @@ from repro.core.encoding import (
     max_encodable_antichain,
 )
 from repro.core.sequences import is_prefix, is_repetition_free
+from repro.kernel.errors import EncodingSearchExhausted
 from repro.workloads import (
     antichain_family,
     overfull_family,
@@ -129,6 +130,26 @@ class TestBuilder:
         family = antichain_family("01", math.factorial(2) + 1, 2)
         with pytest.raises(EncodingError):
             build_prefix_monotone_encoding(family, "ab")
+
+    @pytest.mark.parametrize("m, length", [(3, 3), (4, 5)])
+    def test_antichain_past_the_permutation_ceiling_needs_no_search(
+        self, m, length
+    ):
+        # m!+1 incomparable members need m!+1 incomparable images, but
+        # only m! full permutations exist: decided before any search,
+        # so even a one-check budget cannot leave it undecided.
+        family = antichain_family("01", math.factorial(m) + 1, length)
+        with pytest.raises(EncodingError, match="maximal members") as info:
+            build_prefix_monotone_encoding(family, "abcd"[:m], search_limit=1)
+        assert not isinstance(info.value, EncodingSearchExhausted)
+
+    def test_starved_search_is_not_a_verdict(self):
+        # Neither identity nor antichain: only the search can decide,
+        # and one constraint check is not enough to.
+        with pytest.raises(EncodingSearchExhausted, match="exceeded 1"):
+            build_prefix_monotone_encoding(
+                [(), ("x",), ("x", "x")], "ab", search_limit=1
+            )
 
     def test_prefix_chain_fits_single_path(self):
         family = prefix_chain_family("abc", 3)

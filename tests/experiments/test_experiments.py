@@ -55,6 +55,29 @@ def test_f4_fails_on_an_empty_ensemble(monkeypatch):
     }
 
 
+def test_a2_fails_on_an_exhausted_encoding_search(monkeypatch):
+    """An encoding search that runs out of budget decides nothing, so
+    A2 must not read it as "not encodable" -- not even on the rows
+    where "not encodable" is the expected answer."""
+    from repro.experiments import a2_encoding
+    from repro.kernel.errors import EncodingSearchExhausted
+
+    def starved(family, alphabet):
+        raise EncodingSearchExhausted(
+            "encoding search exceeded 1 constraint checks"
+        )
+
+    monkeypatch.setattr(a2_encoding, "build_prefix_monotone_encoding", starved)
+    result = a2_encoding.run(seed=0, quick=True)
+    theory = {
+        name: ok
+        for name, ok in result.checks.items()
+        if name.endswith("_matches_theory")
+    }
+    assert theory and not any(theory.values())
+    assert {row[4] for row in result.rows} == {"unknown"}
+
+
 def test_registry_is_complete():
     from repro.experiments.base import registry
 

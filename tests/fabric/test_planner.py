@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.fabric.planner import (
-    CELL_KIND,
+    CAMPAIGN_CELL_KIND,
     FabricPlan,
     plan_cells,
     split_warm_cold,
@@ -152,5 +152,6 @@ class TestSplitWarmCold:
         assert cold == []
         assert list(warm) == list(plan.cells)
         assert all(
-            cache.get(CELL_KIND, cell.cell_id) is not None for cell in warm
+            cache.get(CAMPAIGN_CELL_KIND, cell.cell_id) is not None
+            for cell in warm
         )

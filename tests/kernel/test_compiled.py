@@ -389,115 +389,43 @@ class TestPredicates:
         assert table.is_complete(state_id)
 
 
-class TestSnapshot:
-    def test_roundtrip_preserves_ids_and_rows(self):
+class TestRetiredNames:
+    """Names kept only for the benchmark's tracer are inert stubs."""
+
+    def test_snapshots_raise(self):
         system = make_system()
-        table = CompiledSystem(system)
-        frontier = [table.initial_id()]
-        for _ in range(3):
-            frontier = [
-                nid for sid in frontier for _, nid in table.row(sid)
-            ]
-        snapshot = table.snapshot()
-        revived = CompiledSystem.from_snapshot(system, snapshot)
-        assert len(revived) == len(table)
-        assert revived.compiled_rows == table.compiled_rows
-        for state_id in range(table.compiled_rows):
-            assert revived.row(state_id) == table.row(state_id)
-            assert revived.config_of(state_id) == table.config_of(state_id)
-        # Growing on from the revived table needs the component ids its
-        # successor memo keys on, which revival rebuilt from the configs.
-        def grow(compiled, level):
-            return list(
-                dict.fromkeys(
-                    nid for sid in level for _, nid in compiled.row(sid)
-                )
-            )
+        with pytest.raises(SimulationError, match="retired"):
+            CompiledSystem(system).snapshot()
+        with pytest.raises(SimulationError, match="retired"):
+            CompiledSystem.from_snapshot(system, {})
 
-        revived_frontier = frontier = list(dict.fromkeys(frontier))
-        for _ in range(2):
-            frontier = grow(table, frontier)
-            revived_frontier = grow(revived, revived_frontier)
-        assert revived_frontier == frontier
-        assert revived.snapshot() == table.snapshot()
+    def test_explore_batched_is_explore_compiled(self):
+        from dataclasses import replace
 
-    def test_snapshot_rejects_other_schema(self):
-        system = make_system()
-        snapshot = CompiledSystem(system).snapshot()
-        snapshot["schema"] = "bogus/0"
-        with pytest.raises(Exception):
-            CompiledSystem.from_snapshot(system, snapshot)
+        from repro.kernel.frontier import (
+            explore_batched,
+            explore_batched_resumable,
+        )
+        from repro.verify import explore_compiled
 
+        def untimed(report):
+            return replace(report, elapsed_seconds=0.0, states_per_second=0.0)
 
-class TestSnapshotCorruption:
-    """A snapshot may come from another process or from disk, so a
-    truncated or bit-flipped blob must be rejected at the boundary."""
+        expected = untimed(explore_compiled(make_system()))
+        assert untimed(explore_batched(make_system())) == expected
+        assert untimed(explore_batched_resumable(make_system())) == expected
 
-    def grown_snapshot(self, system):
-        table = CompiledSystem(system)
-        frontier = [table.initial_id()]
-        for _ in range(3):
-            frontier = [
-                nid for sid in frontier for _, nid in table.row(sid)
-            ]
-        return table.snapshot()
+    def test_stabilization_shards_raise(self):
+        from repro.kernel.errors import VerificationError
+        from repro.resilience.stabilize import (
+            analyze_stabilization_shard,
+            merge_stabilization_shards,
+        )
 
-    def test_truncated_rows_rejected(self):
-        system = make_system()
-        snapshot = self.grown_snapshot(system)
-        snapshot["rows"] = snapshot["rows"][:-1]
-        with pytest.raises(
-            SimulationError, match="corrupt compiled-system snapshot"
-        ):
-            CompiledSystem.from_snapshot(system, snapshot)
-
-    def test_wrong_safe_bits_length_rejected(self):
-        system = make_system()
-        snapshot = self.grown_snapshot(system)
-        snapshot["safe"] = snapshot["safe"][:-1]
-        with pytest.raises(
-            SimulationError, match="corrupt compiled-system snapshot"
-        ):
-            CompiledSystem.from_snapshot(system, snapshot)
-
-    def test_wrong_complete_bits_length_rejected(self):
-        system = make_system()
-        snapshot = self.grown_snapshot(system)
-        snapshot["complete"] = snapshot["complete"] + b"\x00"
-        with pytest.raises(
-            SimulationError, match="corrupt compiled-system snapshot"
-        ):
-            CompiledSystem.from_snapshot(system, snapshot)
-
-    def test_out_of_range_edge_ids_rejected(self):
-        system = make_system()
-        snapshot = self.grown_snapshot(system)
-        rows = list(snapshot["rows"])
-        for state_id, row in enumerate(rows):
-            if row:
-                bad = ((row[0][0], len(snapshot["configs"]) + 7),) + row[1:]
-                rows[state_id] = bad
-                break
-        snapshot["rows"] = tuple(rows)
-        with pytest.raises(
-            SimulationError, match="corrupt compiled-system snapshot"
-        ):
-            CompiledSystem.from_snapshot(system, snapshot)
-
-    def test_out_of_range_event_id_rejected(self):
-        system = make_system()
-        snapshot = self.grown_snapshot(system)
-        rows = list(snapshot["rows"])
-        for state_id, row in enumerate(rows):
-            if row:
-                bad = ((len(snapshot["events"]), row[0][1]),) + row[1:]
-                rows[state_id] = bad
-                break
-        snapshot["rows"] = tuple(rows)
-        with pytest.raises(
-            SimulationError, match="corrupt compiled-system snapshot"
-        ):
-            CompiledSystem.from_snapshot(system, snapshot)
+        with pytest.raises(VerificationError, match="retired"):
+            analyze_stabilization_shard(make_system(), 0, 2)
+        with pytest.raises(VerificationError, match="retired"):
+            merge_stabilization_shards([])
 
 
 class TestSimulateCompiled:

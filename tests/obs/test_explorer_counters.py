@@ -1,9 +1,9 @@
-"""Explorer observability: exact counters and the frontier gauges.
+"""Explorer observability: exact counters.
 
 Regression for a double-count bug: with ``store_parents=False`` a search
 that found a violation used to re-run itself through the *public* entry
 point to recover the witness path, emitting two ``explorer.searches``
-spans and double-counting ``explorer.states``.  Every engine must emit
+spans and double-counting ``explorer.states``.  Both explorers must emit
 exactly one search with the report's own state count.
 """
 
@@ -13,7 +13,7 @@ from repro import obs
 from repro.channels import channel_by_name
 from repro.kernel.system import System
 from repro.protocols import protocol_by_name
-from repro.verify import explore, explore_batched, explore_compiled
+from repro.verify import explore, explore_compiled
 
 
 def unsafe_system():
@@ -47,23 +47,3 @@ class TestNoDoubleCount:
 
     def test_compiled_engine(self):
         self.assert_single_search(explore_compiled)
-
-    def test_batched_engine(self):
-        self.assert_single_search(explore_batched)
-
-
-class TestFrontierGauges:
-    def test_batched_run_emits_depth_and_width(self):
-        sender, receiver = protocol_by_name("norepeat", ("a", "b"), 2)
-        system = System(
-            sender,
-            receiver,
-            channel_by_name("dup"),
-            channel_by_name("dup"),
-            ("a", "b"),
-        )
-        with obs.scoped() as (_, registry):
-            explore_batched(system)
-            metrics = registry.to_dict()
-            assert metrics["frontier.depth"]["value"] >= 1
-            assert metrics["frontier.width"]["value"] >= 1

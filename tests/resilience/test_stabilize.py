@@ -2,12 +2,10 @@
 
 Three layers of evidence:
 
-* **Engine equivalence** -- the per-source stabilization verdicts are
-  bit-identical across engine labels and single-host vs. merged shard
-  analyses at every shard count.  Verdicts are computed as
-  graph-isomorphism invariants, so any divergence here is a bug in an
-  engine, not a modelling choice.  A merge refuses shard sets that
-  judge a source twice or on the wrong shard.
+* **The retired engine label** -- ``engine="batched"`` and
+  ``engine="scalar"`` are accepted and change nothing: the per-source
+  verdicts equal those of a call without the label, and a cached result
+  is stored under the same key.
 * **The qualitative split** the workload family exists to show: the
   self-stabilizing ARQ converges from *every* corrupt start (finite max
   depth), while plain ABP has corrupt starts it can never recover from
@@ -21,8 +19,6 @@ Three layers of evidence:
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -39,11 +35,8 @@ from repro.resilience.stabilize import (
     CorruptedStartReceiver,
     CorruptedStartSender,
     analyze_stabilization,
-    analyze_stabilization_shard,
     corrupt_initial_set,
     corrupt_set_fingerprint,
-    merge_stabilization_shards,
-    shard_of_source,
 )
 
 ITEMS = ("a", "b")
@@ -77,62 +70,19 @@ def invariants(result):
     )
 
 
-SHARD_COUNTS = (1, 2, 3, 4, 5)
 PROTOCOLS = ("abp", "ss-arq")
-
-
-def shards_of(protocol: str, count: int):
-    return [
-        analyze_stabilization_shard(build_system(protocol), index, count)
-        for index in range(count)
-    ]
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 class TestEngineEquivalence:
     def test_batched_and_scalar_match(self, protocol):
-        baseline = analyze_stabilization(
-            build_system(protocol), engine="batched", domain=DOMAIN
-        )
-        # "scalar" delegates to the batched engine (a set-seeded BFS has
-        # no per-state order to preserve) but must stay accepted.
-        scalar = analyze_stabilization(
-            build_system(protocol), engine="scalar", domain=DOMAIN
-        )
-        assert invariants(scalar) == invariants(baseline)
-
-    def test_merged_shards_match_single_host(self, protocol):
-        host = analyze_stabilization(build_system(protocol), domain=DOMAIN)
-        for count in SHARD_COUNTS:
-            merged = merge_stabilization_shards(shards_of(protocol, count))
-            assert invariants(merged) == invariants(host), count
-            assert merged.explored_states == host.explored_states
-
-
-class TestMergeRefusals:
-    """A shard set whose verdict count is right can still be wrong."""
-
-    def test_duplicate_verdict_replacing_a_missing_one_is_refused(self):
-        shards = shards_of("abp", 2)
-        victim = shards[0]
-        verdicts = list(victim.verdicts)
-        # Judge the first source twice and drop the second: the count
-        # still matches, so only the duplicate check catches it.
-        verdicts[1] = verdicts[0]
-        shards[0] = replace(victim, verdicts=tuple(verdicts))
-        with pytest.raises(VerificationError, match="same source"):
-            merge_stabilization_shards(shards)
-
-    def test_verdict_on_the_wrong_shard_is_refused(self):
-        shards = shards_of("abp", 2)
-        moved = shards[0].verdicts[0]
-        assert shard_of_source(repr(moved[0]), 2) == 0
-        shards[0] = replace(shards[0], verdicts=shards[0].verdicts[1:])
-        shards[1] = replace(
-            shards[1], verdicts=(moved,) + shards[1].verdicts
-        )
-        with pytest.raises(VerificationError, match="assigned to shard 0"):
-            merge_stabilization_shards(shards)
+        baseline = analyze_stabilization(build_system(protocol), domain=DOMAIN)
+        for engine in ("batched", "scalar"):
+            labelled = analyze_stabilization(
+                build_system(protocol), engine=engine, domain=DOMAIN
+            )
+            assert invariants(labelled) == invariants(baseline), engine
+            assert labelled.explored_states == baseline.explored_states
 
 
 class TestVerdicts:
@@ -227,19 +177,20 @@ class TestCorruptSet:
 
 
 class TestCache:
-    def test_round_trip_restamps_engine(self, tmp_path):
+    def test_round_trip_ignores_engine(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = cached_stabilize(build_system("abp"), cache=cache, domain=DOMAIN)
-        assert cache.misses == 1
-        warm = cached_stabilize(
-            build_system("abp"),
-            cache=cache,
-            engine="scalar",
-            domain=DOMAIN,
+        cold = cached_stabilize(
+            build_system("abp"), cache=cache, engine="batched", domain=DOMAIN
         )
+        assert cache.misses == 1
+        warm = cached_stabilize(build_system("abp"), cache=cache, domain=DOMAIN)
         assert cache.hits == 1
-        assert invariants(warm) == invariants(cold)
-        assert warm.engine == "scalar"
+        assert warm == cold
+        assert cache.disk_stats()["entries"] == 1
+        with pytest.raises(VerificationError, match="engine"):
+            cached_stabilize(
+                build_system("abp"), cache=cache, engine="warp", domain=DOMAIN
+            )
 
     def test_corruption_mode_changes_the_key(self, tmp_path):
         cache = ResultCache(tmp_path)

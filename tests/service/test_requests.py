@@ -64,6 +64,25 @@ def test_unknown_engine_is_bad_request():
             _parse("explore", protocol="norepeat", channel="dup", engine=engine)
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("explore", {"protocol": "norepeat", "channel": "dup"}),
+        ("stabilize", {"protocol": "ss-arq", "channel": "lossy-fifo"}),
+    ],
+)
+def test_retired_engine_field_is_ignored(kind, params):
+    """``engine`` is accepted as scalar or batched and changes nothing:
+    the request equals, and keys like, one without the field."""
+    plain = _parse(kind, input="a,b", **params)
+    for engine in ("scalar", "batched"):
+        request = _parse(kind, input="a,b", engine=engine, **params)
+        assert request == plain
+        assert request.job_key() == plain.job_key()
+    with pytest.raises(BadRequest, match="engine"):
+        _parse(kind, input="a,b", engine="vectorized", **params)
+
+
 def test_retired_reduce_parameter_is_bad_request():
     # Symmetry reduction is gone; old clients may still send the flag.
     for kind, params in (
@@ -223,7 +242,7 @@ def test_campaign_job_key_is_the_plan_fingerprint():
 
 
 def test_stabilize_outcome_strips_engine_details(tmp_path):
-    """Engine/shards are execution details, not part of the answer."""
+    """Retired knobs (engine, shards) never appear in the answer."""
     cache = ResultCache(tmp_path / "store")
     request = _parse(
         "stabilize", protocol="ss-arq", channel="lossy-fifo",

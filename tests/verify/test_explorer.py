@@ -187,7 +187,7 @@ class TestCompactMode:
 
 class TestInterner:
     def test_collapse_keys_track_equality(self):
-        from repro.verify.intern import ConfigurationInterner
+        from repro.kernel.intern import ConfigurationInterner
 
         system = norepeat_system(DuplicatingChannel)
         interner = ConfigurationInterner()
