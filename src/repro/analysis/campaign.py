@@ -240,16 +240,14 @@ class Campaign:
             seed,
         )
 
-    # Backwards-compatible alias (pre-fabric internal name).
-    _run_key = run_key
-
     def run_resilient(self, rng: DeterministicRNG, **runner_options):
         """Execute the sweep under the self-healing supervised runner.
 
-        Same grid, same bit-identical metrics as :meth:`run`, but every
-        run gets its own timeout, crashes and hangs are retried with
-        backoff, failures become structured records, and (with
-        ``checkpoint_path=...``) an interrupted sweep resumes where it
+        Same grid, same bit-identical metrics as :meth:`run`, but the
+        runs are drained through a fabric work queue: every run gets its
+        own timeout, crashes and hangs are retried within an attempt
+        budget, failures become structured records, and (with
+        ``checkpoint_dir=...``) an interrupted sweep resumes where it
         left off.  Options are forwarded to
         :class:`repro.resilience.runner.ResilientRunner`; returns a
         :class:`repro.resilience.runner.ResilientOutcome`.

@@ -1327,7 +1327,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--checkpoint",
         default=None,
         metavar="DIR",
-        help="directory for per-scenario checkpoint files (enables resume)",
+        help="directory for per-scenario work queues (enables resume)",
     )
     chaos_parser.add_argument(
         "--timeout",

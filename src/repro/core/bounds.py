@@ -15,7 +15,11 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.kernel.errors import EncodingError, VerificationError
+from repro.kernel.errors import (
+    EncodingError,
+    EncodingSearchExhausted,
+    VerificationError,
+)
 from repro.core.alpha import alpha
 from repro.core.encoding import build_prefix_monotone_encoding
 
@@ -60,19 +64,17 @@ def structural_min_alphabet(
     messages even when ``alpha(m)`` would allow it by count.  This scans
     upward from the counting bound, attempting the constructive builder
     at each size; returns None if no alphabet up to ``max_alphabet``
-    suffices (or the search budget runs out at every size).
+    suffices.  A search that runs out of ``search_limit`` at some size
+    decides nothing about that size, so it raises
+    :class:`~repro.kernel.errors.EncodingSearchExhausted` instead of
+    moving on to the next.
     """
     members = [tuple(member) for member in family]
     lower = min_alphabet_size(len(members))
     for size in range(lower, max_alphabet + 1):
         alphabet = tuple(f"_m{i}" for i in range(size))
-        try:
-            build_prefix_monotone_encoding(
-                members, alphabet, search_limit=search_limit
-            )
-        except EncodingError:
-            continue
-        return size
+        if family_dup_solvable(members, alphabet, search_limit=search_limit):
+            return size
     return None
 
 
@@ -86,12 +88,16 @@ def family_dup_solvable(
 
     Subsumes the counting bound (an overfull family can have no encoding)
     and additionally accounts for the family's prefix structure, per the
-    closing remarks of Section 3.
+    closing remarks of Section 3.  Raises
+    :class:`~repro.kernel.errors.EncodingSearchExhausted` when
+    ``search_limit`` runs out before the search decides.
     """
     try:
         build_prefix_monotone_encoding(
             family, message_alphabet, search_limit=search_limit
         )
+    except EncodingSearchExhausted:
+        raise
     except EncodingError:
         return False
     return True

@@ -69,7 +69,7 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
         )
         for name, (sender, receiver) in _candidates(domain, family):
             channel = DeletingChannel(max_copies=2)
-            witness = find_attack_on_family(
+            search = find_attack_on_family(
                 sender,
                 receiver,
                 channel,
@@ -77,7 +77,8 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
                 family,
                 max_states=400_000,
                 include_drops=True,
-            ).witness
+            )
+            witness = search.witness
             if witness is not None:
                 replay = replay_witness(sender, receiver, channel, channel, witness)
                 confirmed = not replay.safe
@@ -92,6 +93,23 @@ def run(seed: int = 0, quick: bool = False) -> ExperimentResult:
                         len(witness.schedule),
                         witness.product_states,
                         repr(witness.input_sequence),
+                    )
+                )
+                continue
+            if search.status == "truncated":
+                # The budget stopped the search before it showed that no
+                # safety violation exists: no verdict, and no conviction.
+                checks[f"m{m}_{name}_convicted"] = False
+                rows.append(
+                    (
+                        m,
+                        len(family),
+                        name,
+                        "unknown (search truncated)",
+                        False,
+                        None,
+                        search.product_states,
+                        None,
                     )
                 )
                 continue

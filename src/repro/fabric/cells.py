@@ -13,8 +13,9 @@ explore    ``explore``          --                :mod:`repro.fabric.sweep`
 stabilize  ``stabilize``        --                :mod:`repro.fabric.sweep`
 ========== ==================== ================= =========================
 
-Campaign cells keep their PR 8 execution path (fork-supervised single
-runs bound to a loaded plan); the sweep kinds are executed here, from
+Campaign cells run in the worker (fork-supervised single runs of a
+campaign built from a loaded plan or handed to the worker in memory);
+the sweep kinds are executed here, from
 self-describing :class:`~repro.fabric.sweep.SweepCell` payloads.  A
 sweep cell is one family member, run through exactly the serial path
 (:func:`~repro.analysis.cache.cached_explore` /

@@ -22,12 +22,16 @@ The flow, for either entry point:
 4. merge cells back into the single-host result shape
    (:func:`merge_outcome` / :func:`merge_sweep`), bit-identical to the
    serial path (:meth:`Campaign.run` / :func:`serial_sweep`).
+
+Step 3 is :func:`drive_workers`, which
+:class:`~repro.resilience.runner.ResilientRunner` shares: its workers
+carry an in-memory campaign instead of loading a bound plan.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -67,17 +71,10 @@ class FabricResult:
     worker_stats: Tuple[WorkerStats, ...]
 
 
-def _worker_child(conn, queue_root, cache_locator, options) -> None:
+def _worker_child(conn, worker: FabricWorker) -> None:
     """Entry point of a forked fabric worker process."""
     try:
         cut = obs.mark()
-        worker = FabricWorker(
-            queue=WorkQueue(queue_root, lease_timeout=options["lease_timeout"]),
-            cache=ResultCache(cache_locator),
-            run_timeout=options["run_timeout"],
-            idle_timeout=options["idle_timeout"],
-            worker_id=options["worker_id"],
-        )
         stats = worker.run()
         conn.send(("ok", (stats, obs.delta_since(cut))))
     except BaseException as error:  # reported, not raised
@@ -125,12 +122,13 @@ def run_fabric(
         obs.gauge_set("fabric.plan.warm_cells", len(warm))
         obs.gauge_set("fabric.plan.cold_cells", len(cold))
 
-        options = {
-            "run_timeout": run_timeout,
-            "lease_timeout": lease_timeout,
-            "idle_timeout": idle_timeout,
-        }
-        stats = _drive_workers(queue, cache, workers, options)
+        worker = FabricWorker(
+            queue=queue,
+            cache=cache,
+            run_timeout=run_timeout,
+            idle_timeout=idle_timeout,
+        )
+        stats = drive_workers(worker, workers)
 
         failed = queue.failed_tickets()
         if failed:
@@ -148,39 +146,33 @@ def run_fabric(
     )
 
 
-def _drive_workers(
-    queue: WorkQueue, cache: ResultCache, workers: int, options
-) -> List[WorkerStats]:
-    """Drain ``queue`` with N workers (forked when possible, else inline)."""
+def drive_workers(worker: FabricWorker, workers: int) -> List[WorkerStats]:
+    """Drain ``worker.queue`` with ``workers`` copies of ``worker``.
+
+    The copies are forked processes when the platform has ``fork`` and
+    ``workers > 1`` -- each inherits the template, and any in-memory
+    campaign it carries, by memory snapshot -- else one inline loop.
+    """
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        return _run_forked(queue, cache, workers, options)
-    worker = FabricWorker(
-        queue=queue,
-        cache=cache,
-        run_timeout=options["run_timeout"],
-        idle_timeout=options["idle_timeout"],
-        worker_id="inline-0",
-    )
-    return [worker.run()]
+        return _run_forked(worker, workers)
+    return [replace(worker, worker_id="inline-0").run()]
 
 
-def _run_forked(
-    queue: WorkQueue, cache: ResultCache, workers: int, options
-) -> List[WorkerStats]:
+def _run_forked(worker: FabricWorker, workers: int) -> List[WorkerStats]:
     context = multiprocessing.get_context("fork")
     children = []
     for index in range(workers):
-        child_options = dict(options, worker_id=f"fabric-{index}")
+        worker_id = f"fabric-{index}"
         parent_conn, child_conn = context.Pipe(duplex=False)
         # Not daemonic: each worker forks its own supervised per-cell
         # children, and daemons may not have children.
         process = context.Process(
             target=_worker_child,
-            args=(child_conn, queue.root, cache.root, child_options),
+            args=(child_conn, replace(worker, worker_id=worker_id)),
         )
         process.start()
         child_conn.close()
-        children.append((process, parent_conn, child_options["worker_id"]))
+        children.append((process, parent_conn, worker_id))
     stats: List[WorkerStats] = []
     errors: List[str] = []
     try:
@@ -214,17 +206,10 @@ def _run_forked(
         raise FabricError(
             f"all {workers} fabric workers failed; first: {errors[0]}"
         )
-    if not queue.drained():
+    if not worker.queue.drained():
         # Survivors exited idle while dead workers' leases were still
         # fresh.  Drain the leftovers inline rather than failing.
-        sweeper = FabricWorker(
-            queue=queue,
-            cache=cache,
-            run_timeout=options["run_timeout"],
-            idle_timeout=options["idle_timeout"],
-            worker_id="sweeper",
-        )
-        stats.append(sweeper.run())
+        stats.append(replace(worker, worker_id="sweeper").run())
     return stats
 
 
@@ -289,12 +274,13 @@ def run_sweep(
         obs.gauge_set("fabric.sweep.warm_cells", len(warm))
         obs.gauge_set("fabric.sweep.cold_cells", len(cold))
 
-        options = {
-            "run_timeout": run_timeout,
-            "lease_timeout": lease_timeout,
-            "idle_timeout": idle_timeout,
-        }
-        stats = _drive_workers(queue, cache, workers, options)
+        worker = FabricWorker(
+            queue=queue,
+            cache=cache,
+            run_timeout=run_timeout,
+            idle_timeout=idle_timeout,
+        )
+        stats = drive_workers(worker, workers)
 
         failed = queue.failed_tickets()
         if failed:

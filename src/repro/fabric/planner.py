@@ -22,8 +22,9 @@ choice does all the heavy lifting:
   queue ticket belongs to the plan it loaded.
 
 The plan fingerprint binds a work queue to one exact grid + RNG
-identity; a worker refuses tickets from a plan it did not load, the
-same refusal discipline as the resilient runner's checkpoints.
+identity; a worker refuses tickets from a plan it did not load, as the
+resilient runner refuses a checkpoint queue holding another grid's
+tickets.
 """
 
 from __future__ import annotations

@@ -11,18 +11,25 @@ exactly one state directory:
     <root>/
       plan.json         # the bound plan: FabricPlan (stp-fabric/1)
                         # or SweepPlan (stp-fabric-sweep/1); absent for
-                        # plan-less ledgers (service, enqueue-only)
+                        # plan-less queues (service ledger, enqueue-only
+                        # dispatch, resilient runner)
       pending/<id>.json  # enqueued, unclaimed
       leased/<id>.json   # claimed by a worker; mtime is the heartbeat
       done/<id>.json     # completed (result lives in the shared cache)
       failed/<id>.json   # exhausted its attempts (with attempt history)
 
-Tickets may embed their whole :class:`~repro.fabric.sweep.SweepCell`
-under ``"cell"`` -- self-describing work a worker can execute without
-any bound plan, which is how the service's enqueue-only dispatch hands
-explore/stabilize cells to remote fleets.  The embedded cell and the
+Tickets may embed a self-describing cell under ``"cell"``: a whole
+:class:`~repro.fabric.sweep.SweepCell`, which is how the service's
+enqueue-only dispatch hands explore/stabilize cells to remote fleets,
+or a campaign grid key (``{"kind": "campaign", "input": [...],
+"seed": n}``), which is how
+:class:`~repro.resilience.runner.ResilientRunner` hands its in-memory
+campaign's runs to workers.  Either way a worker recomputes the cell id
+from the payload and refuses a mismatch.  The embedded cell and the
 accumulated ``history`` of attempt errors survive every
-requeue/park transition.
+requeue/park transition, and a worker copies the history into the
+``done`` ticket.  A :class:`ResilientRunner` checkpoint is such a queue
+directory plus the result store beside it.
 
 Claiming is ``rename(pending/X, leased/X)``: of N racing workers
 exactly one rename succeeds and the rest observe ``FileNotFoundError``
@@ -64,14 +71,14 @@ def default_worker_id() -> str:
 
 
 class WorkQueue:
-    """One campaign plan's tickets on a shared directory.
+    """One plan's (or one ledger's) tickets on a shared directory.
 
     Args:
         root: the queue directory (shared between all participants).
         lease_timeout: seconds without a heartbeat before a leased
             ticket is considered abandoned and eligible for requeue.
         max_attempts: total attempts a cell gets before it is parked in
-            ``failed/`` (mirrors the resilient runner's retry budget).
+            ``failed/`` (the resilient runner sets ``retries + 1``).
     """
 
     def __init__(
@@ -207,6 +214,11 @@ class WorkQueue:
         # pending; completion supersedes it.
         self._ticket_path("pending", cell_id).unlink(missing_ok=True)
 
+    def discard(self, cell_id: str) -> None:
+        """Forget ``cell_id`` in every state, so it can be enqueued afresh."""
+        for state in STATES:
+            self._ticket_path(state, cell_id).unlink(missing_ok=True)
+
     def claim(
         self, worker_id: Optional[str] = None, cell_id: Optional[str] = None
     ) -> Optional[Dict]:
@@ -265,7 +277,7 @@ class WorkQueue:
             pass  # lease was expired/completed under us; harmless
 
     def release_failed(self, ticket: Dict, message: str) -> str:
-        """Handle a failed attempt: requeue with backoff budget or park.
+        """Handle a failed attempt: requeue within the attempt budget or park.
 
         Returns ``"requeued"`` or ``"failed"``.  The embedded cell (if
         any) and the accumulated ``history`` of per-attempt error
@@ -387,13 +399,17 @@ class WorkQueue:
         return sorted(path.stem for path in done.glob("*.json"))
 
     def failed_tickets(self) -> List[Dict]:
-        failed = self._dir("failed")
-        if not failed.is_dir():
-            return []
-        tickets = []
-        for path in sorted(failed.glob("*.json")):
+        return list(self.tickets("failed").values())
+
+    def tickets(self, state: str) -> Dict[str, Dict]:
+        """``{cell_id: ticket}`` for every readable ticket in ``state``."""
+        directory = self._dir(state)
+        if not directory.is_dir():
+            return {}
+        tickets = {}
+        for path in sorted(directory.glob("*.json")):
             try:
-                tickets.append(json.loads(path.read_text()))
+                tickets[path.stem] = json.loads(path.read_text())
             except (OSError, json.JSONDecodeError):
                 continue
         return tickets

@@ -11,12 +11,14 @@ shared filesystem tomorrow -- compose without new protocol.
 Workers execute every registered cell kind
 (:mod:`repro.fabric.cells`):
 
-* **campaign** cells reuse the resilient runner's supervision
-  (:func:`~repro.resilience.runner.supervised_single_run`): each cell
+* **campaign** cells run under
+  :func:`~repro.resilience.runner.supervised_single_run`: each cell
   runs in a forked child under a wall-clock budget, heartbeating its
   queue lease, so a crash or hang costs one queue attempt rather than
-  the worker.  They require the queue's bound
-  :class:`~repro.fabric.planner.FabricPlan`.
+  the worker.  The campaign comes from the queue's bound
+  :class:`~repro.fabric.planner.FabricPlan`, or is handed to the worker
+  in memory (the resilient runner's workers); in the latter case each
+  ticket embeds its grid key, which must hash to the ticket's id.
 * **explore / stabilize** sweep cells are self-describing -- the
   :class:`~repro.fabric.sweep.SweepCell` travels in the ticket (or is
   found in a bound :class:`~repro.fabric.sweep.SweepPlan`), so they run
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro import obs
 from repro.analysis.cache import ResultCache
@@ -40,6 +42,10 @@ from repro.fabric.planner import CAMPAIGN_CELL_KIND, FabricPlan
 from repro.fabric.queue import WorkQueue, default_worker_id
 from repro.fabric.spec import FabricError
 from repro.kernel.errors import VerificationError
+
+if TYPE_CHECKING:
+    from repro.analysis.campaign import Campaign
+    from repro.kernel.rng import DeterministicRNG
 
 
 @dataclass
@@ -80,6 +86,9 @@ class FabricWorker:
         max_cells: stop after completing this many cells (None = until
             drained); lets tests and benchmarks bound a worker.
         worker_id: lease audit tag; defaults to ``<host>-<pid>``.
+        campaign / rng: the campaign whose runs this worker computes,
+            when the queue has no bound :class:`FabricPlan` to build it
+            from (a bound plan takes precedence).
     """
 
     queue: WorkQueue
@@ -88,6 +97,8 @@ class FabricWorker:
     idle_timeout: Optional[float] = 10.0
     max_cells: Optional[int] = None
     worker_id: str = field(default_factory=default_worker_id)
+    campaign: Optional["Campaign"] = None
+    rng: Optional["DeterministicRNG"] = None
 
     def run(self) -> WorkerStats:
         """Pull until the queue drains (or a budget stops us)."""
@@ -96,7 +107,7 @@ class FabricWorker:
 
     def _run(self) -> WorkerStats:
         plan = self.queue.load_plan_optional()
-        campaign = rng = None
+        campaign, rng = self.campaign, self.rng
         if isinstance(plan, FabricPlan):
             campaign = plan.spec.build_campaign(cache=None)
             rng = plan.rng
@@ -153,14 +164,11 @@ class FabricWorker:
             )
             stats.failed += 1
             return
-        cell = plan.cell_by_id(cell_id)
-        if cell is None:
-            # A ticket from some other plan has no business here.
-            self.queue.release_failed(
-                ticket,
-                f"cell {cell_id[:12]}... is not in plan "
-                f"{plan.plan_fingerprint[:12]}...",
-            )
+        try:
+            key = self._grid_key(plan, campaign, rng, ticket)
+        except FabricError as error:
+            # A ticket from some other campaign has no business here.
+            self.queue.release_failed(ticket, str(error))
             stats.failed += 1
             return
         # Warm probe first: a cell computed by any prior run -- serial,
@@ -168,11 +176,8 @@ class FabricWorker:
         if self.cache.get(CAMPAIGN_CELL_KIND, cell_id) is not None:
             obs.add("fabric.cells_warm")
             stats.warm += 1
-            self.queue.mark_done(
-                cell_id, {"worker": self.worker_id, "warm": True}
-            )
+            self._mark_done(ticket, warm=True)
             return
-        key = (cell.input_sequence, cell.seed)
         try:
             from repro.resilience.runner import supervised_single_run
 
@@ -199,7 +204,47 @@ class FabricWorker:
             return
         obs.add("fabric.cells_completed")
         stats.computed += 1
-        self.queue.mark_done(cell_id, {"worker": self.worker_id})
+        self._mark_done(ticket)
+
+    def _mark_done(self, ticket, **info) -> None:
+        """Complete ``ticket``, keeping the history of its failed attempts."""
+        info = {"worker": self.worker_id, **info}
+        if "history" in ticket:
+            info["history"] = ticket["history"]
+        self.queue.mark_done(ticket["cell_id"], info)
+
+    @staticmethod
+    def _grid_key(plan, campaign, rng, ticket) -> Tuple[Tuple, int]:
+        """The campaign ticket's ``(input, seed)``, from the ticket or plan.
+
+        An embedded key must hash to the ticket's id under this worker's
+        campaign, as an embedded sweep cell must match its ticket; a
+        :class:`FabricError` names the mismatch.
+        """
+        cell_id = ticket["cell_id"]
+        embedded = ticket.get("cell")
+        if isinstance(embedded, dict):
+            try:
+                key = (tuple(embedded["input"]), embedded["seed"])
+            except (KeyError, TypeError) as error:
+                raise FabricError(
+                    f"malformed embedded cell: {error!r}"
+                ) from None
+            if campaign.run_key(rng, key) != cell_id:
+                raise FabricError(
+                    f"embedded key {key!r} does not match ticket "
+                    f"{cell_id[:12]}..."
+                )
+            return key
+        if not isinstance(plan, FabricPlan):
+            raise FabricError(f"ticket {cell_id[:12]}... carries no grid key")
+        cell = plan.cell_by_id(cell_id)
+        if cell is None:
+            raise FabricError(
+                f"cell {cell_id[:12]}... is not in plan "
+                f"{plan.plan_fingerprint[:12]}..."
+            )
+        return (cell.input_sequence, cell.seed)
 
     @staticmethod
     def _resolve_sweep_cell(plan, ticket):
@@ -207,7 +252,7 @@ class FabricWorker:
         from repro.fabric.sweep import SweepCell, SweepPlan
 
         embedded = ticket.get("cell")
-        if isinstance(embedded, dict):
+        if isinstance(embedded, dict) and embedded.get("kind") != "campaign":
             return SweepCell.from_dict(embedded)
         if isinstance(plan, SweepPlan):
             return plan.cell_by_id(ticket["cell_id"])
@@ -231,10 +276,7 @@ class FabricWorker:
         if sweep_cell_warm(cell, self.cache):
             obs.add("fabric.cells_warm")
             stats.warm += 1
-            self.queue.mark_done(
-                cell_id,
-                {"worker": self.worker_id, "warm": True, "kind": cell.kind},
-            )
+            self._mark_done(ticket, warm=True, kind=cell.kind)
             return
         try:
             execute_sweep_cell(
@@ -256,9 +298,7 @@ class FabricWorker:
         obs.add("fabric.cells_completed")
         obs.add("fabric.sweep.cells_completed")
         stats.computed += 1
-        self.queue.mark_done(
-            cell_id, {"worker": self.worker_id, "kind": cell.kind}
-        )
+        self._mark_done(ticket, kind=cell.kind)
 
 
 def run_worker(

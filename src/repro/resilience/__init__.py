@@ -16,9 +16,11 @@ vocabulary of the self-stabilizing ARQ literature.  Three pieces:
   configurable state loss.  :func:`run_with_plan` is the one-call harness
   wiring plan, wrappers, and recovery measurement together.
 * **The self-healing campaign runner** (:mod:`repro.resilience.runner`):
-  per-run timeouts, retry-with-backoff of crashed or hung workers,
-  structured per-run failure records, and JSON checkpoint/resume -- all
-  preserving the campaign engine's bit-identical determinism guarantee.
+  a campaign grid drained through the fabric's work queue -- per-run
+  timeouts, retries of crashed or hung runs within an attempt budget,
+  structured per-run failure records, and resume from the queue
+  directory and its result store -- all preserving the campaign engine's
+  bit-identical determinism guarantee.
 * **Corrupted-start exploration** (:mod:`repro.resilience.stabilize`):
   drops the clean-start assumption entirely -- enumerate the corrupt
   initial configurations of a protocol x channel pair, multi-source-BFS
@@ -52,10 +54,12 @@ from repro.resilience.crash import (
 )
 from repro.resilience.harness import run_with_plan
 from repro.resilience.runner import (
-    CHECKPOINT_SCHEMA,
     ResilientOutcome,
     ResilientRunner,
+    RunCrash,
+    RunError,
     RunFailure,
+    RunTimeout,
 )
 from repro.resilience.report import BENCH_PR2_FILENAME, run_chaos
 from repro.resilience.stabilize import (
@@ -89,10 +93,12 @@ __all__ = [
     "apply_crash_plan",
     "crash_time_in_trace",
     "run_with_plan",
-    "CHECKPOINT_SCHEMA",
     "ResilientOutcome",
     "ResilientRunner",
+    "RunCrash",
+    "RunError",
     "RunFailure",
+    "RunTimeout",
     "BENCH_PR2_FILENAME",
     "run_chaos",
     "CORRUPTION_MODES",

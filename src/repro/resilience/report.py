@@ -204,9 +204,10 @@ def run_chaos(
     Args:
         seed: campaign RNG seed (the nightly job sweeps a seed matrix).
         quick: smaller grids and a shorter F8 sweep.
-        workers: concurrent supervised child processes per campaign.
-        checkpoint_dir: directory for per-scenario checkpoint files
-            (``<scenario>.json``); None disables checkpointing.
+        workers: concurrent fabric workers per campaign.
+        checkpoint_dir: directory holding one resumable runner checkpoint
+            per scenario (``<scenario>/``: its work queue and store);
+            None keeps each scenario's queue in a temporary directory.
         run_timeout: per-run wall budget handed to the runner.
         retries: per-run retry budget handed to the runner.
     """
@@ -224,17 +225,16 @@ def run_chaos(
     seeds = 2 if quick else 3
     for scenario in default_scenarios(quick=quick):
         campaign = build_chaos_campaign(scenario, seeds=seeds, workers=workers)
-        checkpoint_path = (
-            Path(checkpoint_dir) / f"{scenario.name}.json"
-            if checkpoint_dir is not None
-            else None
-        )
         start = time.perf_counter()
         resilient = campaign.run_resilient(
             DeterministicRNG(seed, f"chaos/{scenario.name}"),
             run_timeout=run_timeout,
             retries=retries,
-            checkpoint_path=checkpoint_path,
+            checkpoint_dir=(
+                Path(checkpoint_dir) / scenario.name
+                if checkpoint_dir is not None
+                else None
+            ),
             workers=workers,
         )
         wall = time.perf_counter() - start

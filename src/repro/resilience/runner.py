@@ -1,52 +1,52 @@
-"""The self-healing campaign runner.
+"""The self-healing campaign runner: a campaign grid over the work fabric.
 
 :class:`~repro.analysis.campaign.Campaign` is fast but brittle: one worker
 that hangs or dies takes the whole ``ProcessPoolExecutor`` sweep with it,
 and an interrupted sweep loses everything it had computed.
 :class:`ResilientRunner` executes the same grid with the same bit-identical
-determinism guarantee, but supervises every run individually:
+determinism guarantee as a planner over the fabric's
+:class:`~repro.fabric.queue.WorkQueue`:
 
-* **per-run timeouts** -- each run executes in its own forked process; a
-  run that exceeds ``run_timeout`` wall seconds is terminated;
-* **retry with backoff** -- crashed (non-zero exit, SIGKILL) and timed-out
-  runs are re-queued with exponential backoff, up to ``retries`` retries;
-  because every run is a pure function of ``(campaign, rng, key)``, a
-  retry recomputes exactly the same :class:`RunMetrics`;
-* **structured failure records** -- every failed attempt becomes a
-  :class:`RunFailure` in the outcome instead of a pool-wide exception;
-* **checkpoint/resume** -- completed runs are flushed to a JSON
-  checkpoint (schema ``repro-chaos-checkpoint/1``) after every run; a
-  runner pointed at an existing checkpoint skips the completed keys, so a
-  sweep killed mid-flight (worker SIGKILL, KeyboardInterrupt, power loss)
-  continues where it left off and still produces results bit-identical to
-  an uninterrupted serial run.
+* **one cell per grid run** -- the cell id is the run's content address,
+  :meth:`Campaign.run_key`, and the ticket embeds the grid key, which a
+  worker refuses unless it hashes to the id;
+* **per-run supervision** -- :class:`~repro.fabric.worker.FabricWorker`
+  loops, which inherit the in-memory campaign by fork, run each cell
+  under :func:`supervised_single_run`: a forked child with a wall-clock
+  budget, so a crash or hang costs one queue attempt;
+* **retries** -- a failed attempt returns to ``pending`` until the cell
+  has had ``retries + 1`` attempts, then parks in ``failed/``; because
+  every run is a pure function of ``(campaign, rng, key)``, a retry
+  recomputes exactly the same :class:`RunMetrics`;
+* **structured failure records** -- a failure's kind (``timeout``,
+  ``crash``, ``error``) survives the queue in the ticket's attempt
+  history, and every failed attempt becomes a :class:`RunFailure` in the
+  outcome instead of a pool-wide exception;
+* **checkpoint/resume** -- the queue directory and its result store are
+  the checkpoint.  A runner pointed at a directory an interrupted sweep
+  left behind reads the finished runs from the store and runs the rest
+  afresh, so the outcome is still bit-identical to an uninterrupted
+  serial run.  A directory holding tickets of another grid or RNG is
+  refused before any work starts.
 
-Checkpoint file format::
+Checkpoint directory layout (one runner at a time per directory)::
 
-    {
-      "schema": "repro-chaos-checkpoint/1",
-      "fingerprint": "<sha256 of the grid spec and RNG identity>",
-      "completed": {
-        "[[\"a\", \"b\"], 0]": {"steps": 41, "completed": true, ...}
-      }
-    }
+    <checkpoint_dir>/
+      pending/ leased/ done/ failed/   # WorkQueue tickets, one per run
+      store/run/<id[:2]>/<id>.pkl      # RunMetrics of each finished run
 
-Keys are the JSON form of ``[input_sequence, seed]``; values are
-:class:`RunMetrics` fields.  The fingerprint binds a checkpoint to one
-exact grid + RNG identity; resuming with a different campaign is refused
-rather than silently mixed.
+The fabric modules are imported when a sweep runs, not with this module:
+importing :mod:`repro.resilience` stays as cheap as it was.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
-import os
+import tempfile
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import obs
 from repro.analysis.campaign import Campaign, CampaignOutcome
@@ -54,9 +54,32 @@ from repro.analysis.metrics import RunMetrics, summarize
 from repro.kernel.errors import VerificationError
 from repro.kernel.rng import DeterministicRNG
 
-CHECKPOINT_SCHEMA = "repro-chaos-checkpoint/1"
-
 RunKey = Tuple[Tuple, int]
+
+
+class RunError(VerificationError):
+    """A supervised run attempt raised; :attr:`kind` names the failure.
+
+    The message starts with ``"<kind>: "``, so the kind survives a queue
+    ticket, whose attempt history stores messages.
+    """
+
+    kind = "error"
+
+    def __init__(self, key: RunKey, detail: str) -> None:
+        super().__init__(f"{self.kind}: run {key!r} {detail}")
+
+
+class RunTimeout(RunError):
+    """A supervised run attempt exceeded its wall-clock budget."""
+
+    kind = "timeout"
+
+
+class RunCrash(RunError):
+    """A supervised run's process died without reporting."""
+
+    kind = "crash"
 
 
 @dataclass(frozen=True)
@@ -67,16 +90,14 @@ class RunFailure:
         input_sequence / seed: the run's grid key.
         attempt: 1-based attempt number that failed.
         kind: "timeout", "crash" (process died without reporting),
-            "error" (the run raised; message carries the repr), or
-            "non_stabilizing" (a corrupted-start run exhausted its step
-            budget without ever converging -- emitted only by runners
-            constructed with ``stabilization=True``, so a stuck
-            corrupted start is reported as what it is instead of a
-            generic step-budget exhaustion).
+            "error" (the run raised, or the queue refused the attempt;
+            message carries the detail), or "non_stabilizing" (a
+            corrupted-start run exhausted its step budget without ever
+            converging -- emitted only by runners constructed with
+            ``stabilization=True``, so a stuck corrupted start is
+            reported as what it is instead of a generic step-budget
+            exhaustion).
         message: human-readable failure detail.
-        elapsed_seconds: wall time the attempt consumed before failing
-            (0.0 for "non_stabilizing", which is a verdict on a
-            completed attempt, not a supervision event).
     """
 
     input_sequence: Tuple
@@ -84,7 +105,6 @@ class RunFailure:
     attempt: int
     kind: str
     message: str
-    elapsed_seconds: float
 
 
 @dataclass(frozen=True)
@@ -98,8 +118,8 @@ class ResilientOutcome:
             for a healthy sweep; non-empty does not imply missing data,
             since retries usually recover).
         retried_runs: grid runs that needed more than one attempt.
-        resumed_runs: grid runs loaded from the checkpoint instead of
-            executed.
+        resumed_runs: grid runs read from the checkpoint's store instead
+            of executed.
         abandoned: grid keys that exhausted their retries; their metrics
             are missing from ``outcome``.
     """
@@ -109,16 +129,6 @@ class ResilientOutcome:
     retried_runs: int
     resumed_runs: int
     abandoned: Tuple[RunKey, ...]
-
-
-def _key_to_json(key: RunKey) -> str:
-    input_sequence, seed = key
-    return json.dumps([list(input_sequence), seed])
-
-
-def _key_from_json(text: str) -> RunKey:
-    items, seed = json.loads(text)
-    return (tuple(items), seed)
 
 
 def _child_main(conn, campaign: Campaign, rng: DeterministicRNG, key: RunKey):
@@ -146,27 +156,31 @@ def supervised_single_run(
     run_timeout: float = 60.0,
     heartbeat=None,
 ) -> RunMetrics:
-    """One grid run under the resilient runner's supervision discipline.
+    """One grid run under supervision: the unit a fabric worker claims.
 
     Executes ``campaign._single_run(rng, *key)`` in a forked child with a
-    wall-clock budget, exactly as :class:`ResilientRunner` supervises its
-    attempts -- same :func:`_child_main` entry point, same obs-delta
-    merge -- but for a single cell, which is the unit a fabric worker
-    claims from the queue.  ``heartbeat`` (when given) is called roughly
-    every 100ms while the child runs, so the caller can keep a queue
-    lease fresh without threading.
+    wall-clock budget and merges the child's obs delta.  ``heartbeat``
+    (when given) is called roughly every 100ms while the child runs, so
+    the caller can keep a queue lease fresh without threading.
 
-    Raises :class:`VerificationError` on timeout, crash, or an error
-    raised inside the run; the caller owns the retry policy (the queue's
-    attempt budget, for fabric workers).
+    Raises :class:`RunTimeout`, :class:`RunCrash` or :class:`RunError`
+    (all :class:`VerificationError`) when the attempt fails; the caller
+    owns the retry policy (the queue's attempt budget, for fabric
+    workers).
 
     Falls back to a plain in-process run where ``fork`` is unavailable
-    (no timeout enforcement, same bit-identical metrics).
+    (no timeout enforcement, same bit-identical metrics); a run that
+    raises there still surfaces as :class:`RunError`.
     """
     if run_timeout <= 0:
         raise VerificationError("run_timeout must be positive")
     if "fork" not in multiprocessing.get_all_start_methods():
-        return campaign._single_run(rng, key[0], key[1])
+        try:
+            return campaign._single_run(rng, key[0], key[1])
+        except Exception as error:
+            raise RunError(
+                key, f"failed: {type(error).__name__}: {error}"
+            ) from error
     context = multiprocessing.get_context("fork")
     parent_conn, child_conn = context.Pipe(duplex=False)
     process = context.Process(
@@ -186,25 +200,21 @@ def supervised_single_run(
             if time.monotonic() - started > run_timeout:
                 process.terminate()
                 process.join()
-                raise VerificationError(
-                    f"run {key!r} exceeded {run_timeout}s"
-                )
+                raise RunTimeout(key, f"exceeded {run_timeout}s")
             if not process.is_alive():
-                raise VerificationError(
-                    f"run {key!r} worker died with exit code "
-                    f"{process.exitcode}"
+                raise RunCrash(
+                    key, f"worker died with exit code {process.exitcode}"
                 )
         try:
             status, payload = parent_conn.recv()
         except EOFError:
             process.join()
-            raise VerificationError(
-                f"run {key!r} worker died with exit code "
-                f"{process.exitcode}"
+            raise RunCrash(
+                key, f"worker died with exit code {process.exitcode}"
             ) from None
         process.join()
         if status != "ok":
-            raise VerificationError(f"run {key!r} failed: {payload}")
+            raise RunError(key, f"failed: {payload}")
         metrics, delta = payload
         obs.merge(delta)
         return metrics
@@ -215,15 +225,19 @@ def supervised_single_run(
             process.join()
 
 
-@dataclass
-class _Attempt:
-    """Bookkeeping for one in-flight child process."""
-
-    key: RunKey
-    attempt: int
-    process: object
-    conn: object
-    started: float
+def _failure(key: RunKey, attempt: int, entry: str) -> RunFailure:
+    """A ticket history entry as a :class:`RunFailure`."""
+    kind, _, message = entry.partition(": ")
+    if kind not in (RunTimeout.kind, RunCrash.kind, RunError.kind):
+        # The queue's own refusals (an expired lease, a rejected result).
+        kind, message = RunError.kind, entry
+    return RunFailure(
+        input_sequence=key[0],
+        seed=key[1],
+        attempt=attempt,
+        kind=kind,
+        message=message,
+    )
 
 
 class ResilientRunner:
@@ -235,11 +249,10 @@ class ResilientRunner:
             platforms with the ``fork`` start method, where runs execute
             in child processes).
         retries: maximum retries per run after its first failure.
-        backoff: base of the exponential retry delay, in seconds; attempt
-            ``n`` waits ``backoff * 2**(n-1)`` before re-dispatch.
-        checkpoint_path: JSON checkpoint location; None disables
-            checkpointing.
-        workers: concurrent child processes (defaults to the campaign's
+        checkpoint_dir: the sweep's work-queue directory, kept so an
+            interrupted sweep can resume; None runs the queue in a
+            temporary directory.
+        workers: concurrent fabric workers (defaults to the campaign's
             ``workers`` attribute).
         stabilization: mark the campaign as a corrupted-start workload
             (protocols wrapped with
@@ -257,8 +270,7 @@ class ResilientRunner:
         campaign: Campaign,
         run_timeout: float = 60.0,
         retries: int = 2,
-        backoff: float = 0.25,
-        checkpoint_path=None,
+        checkpoint_dir=None,
         workers: Optional[int] = None,
         stabilization: bool = False,
     ) -> None:
@@ -266,74 +278,14 @@ class ResilientRunner:
             raise VerificationError("run_timeout must be positive")
         if retries < 0:
             raise VerificationError("retries must be non-negative")
-        if backoff < 0:
-            raise VerificationError("backoff must be non-negative")
         self.campaign = campaign
         self.run_timeout = run_timeout
         self.retries = retries
-        self.backoff = backoff
-        self.checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None else None
+        self.checkpoint_dir = (
+            Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
         self.workers = max(workers if workers is not None else campaign.workers, 1)
         self.stabilization = stabilization
-
-    # -- checkpointing -------------------------------------------------
-
-    def _fingerprint(self, rng: DeterministicRNG, keys: List[RunKey]) -> str:
-        spec = repr(
-            (
-                [list(k[0]) for k in keys],
-                [k[1] for k in keys],
-                self.campaign.max_steps,
-                type(self.campaign.sender).__name__,
-                type(self.campaign.receiver).__name__,
-                rng.seed,
-                rng.path,
-            )
-        )
-        return hashlib.sha256(spec.encode()).hexdigest()
-
-    def _load_checkpoint(self, fingerprint: str) -> Dict[RunKey, RunMetrics]:
-        if self.checkpoint_path is None or not self.checkpoint_path.exists():
-            return {}
-        data = json.loads(self.checkpoint_path.read_text())
-        if data.get("schema") != CHECKPOINT_SCHEMA:
-            raise VerificationError(
-                f"checkpoint {self.checkpoint_path} has unsupported schema "
-                f"{data.get('schema')!r}"
-            )
-        if data.get("fingerprint") != fingerprint:
-            raise VerificationError(
-                f"checkpoint {self.checkpoint_path} belongs to a different "
-                "campaign grid or RNG; refusing to resume from it"
-            )
-        return {
-            _key_from_json(key_text): RunMetrics(**fields)
-            for key_text, fields in data.get("completed", {}).items()
-        }
-
-    def _flush_checkpoint(
-        self, fingerprint: str, completed: Dict[RunKey, RunMetrics]
-    ) -> None:
-        if self.checkpoint_path is None:
-            return
-        payload = {
-            "schema": CHECKPOINT_SCHEMA,
-            "fingerprint": fingerprint,
-            "completed": {
-                _key_to_json(key): asdict(metrics)
-                for key, metrics in completed.items()
-            },
-        }
-        self.checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.checkpoint_path.with_suffix(
-            self.checkpoint_path.suffix + ".tmp"
-        )
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, self.checkpoint_path)
-
-    # -- execution -----------------------------------------------------
 
     def run(self, rng: DeterministicRNG) -> ResilientOutcome:
         """Execute the sweep, healing failures, and aggregate."""
@@ -341,240 +293,127 @@ class ResilientRunner:
             "resilient.run",
             workers=self.workers,
             retries=self.retries,
-            checkpointed=self.checkpoint_path is not None,
+            checkpointed=self.checkpoint_dir is not None,
         ):
-            return self._run(rng)
+            if self.checkpoint_dir is not None:
+                return self._run(rng, self.checkpoint_dir)
+            with tempfile.TemporaryDirectory(prefix="stp-resilient-") as root:
+                return self._run(rng, Path(root))
 
-    def _run(self, rng: DeterministicRNG) -> ResilientOutcome:
-        if self.campaign.seeds < 1:
+    def _run(self, rng: DeterministicRNG, root: Path) -> ResilientOutcome:
+        from repro.analysis.cache import ResultCache
+        from repro.fabric.coordinator import drive_workers
+        from repro.fabric.planner import CAMPAIGN_CELL_KIND
+        from repro.fabric.queue import STATES, WorkQueue
+        from repro.fabric.worker import FabricWorker
+
+        campaign = self.campaign
+        if campaign.seeds < 1:
             raise VerificationError("seeds must be >= 1")
-        if not self.campaign.inputs:
+        if not campaign.inputs:
             raise VerificationError("campaign needs at least one input")
-        keys: List[RunKey] = [
-            (tuple(input_sequence), seed)
-            for input_sequence in self.campaign.inputs
-            for seed in range(self.campaign.seeds)
-        ]
-        fingerprint = self._fingerprint(rng, keys)
-        completed = self._load_checkpoint(fingerprint)
-        completed = {k: v for k, v in completed.items() if k in set(keys)}
-        resumed = len(completed)
+        keys = campaign.grid_keys()
+        ids = [campaign.run_key(rng, key) for key in keys]
+        queue = WorkQueue(root, max_attempts=self.retries + 1)
+        foreign = {
+            cell_id for state in STATES for cell_id in queue.tickets(state)
+        }.difference(ids)
+        if foreign:
+            raise VerificationError(
+                f"checkpoint {root} holds tickets of a different campaign "
+                "grid or RNG; refusing to resume from it"
+            )
+        queue.init_layout()
+        cache = ResultCache(root / "store")
+
+        # Finished runs are read back from the store; every other run
+        # starts afresh, whatever ticket an interrupted sweep left for it.
+        resumed = 0
+        for key, cell_id in zip(keys, ids):
+            queue.discard(cell_id)
+            if cache.get(CAMPAIGN_CELL_KIND, cell_id) is not None:
+                resumed += 1
+                queue.mark_done(cell_id, {"warm": True})
+            else:
+                queue.enqueue(
+                    cell_id,
+                    cell={"kind": "campaign", "input": list(key[0]), "seed": key[1]},
+                )
         if resumed:
             obs.add("resilience.resumed_runs", resumed)
+        if resumed < len(keys):
+            worker = FabricWorker(
+                queue=queue,
+                cache=cache,
+                run_timeout=self.run_timeout,
+                idle_timeout=None,
+                campaign=campaign,
+                rng=rng,
+            )
+            drive_workers(worker, self.workers)
 
+        done, failed = queue.tickets("done"), queue.tickets("failed")
         failures: List[RunFailure] = []
         abandoned: List[RunKey] = []
-        retried: set = set()
-
-        pending: List[Tuple[RunKey, int, float]] = [
-            (key, 1, 0.0) for key in keys if key not in completed
-        ]
-        try:
-            if pending:
-                if "fork" in multiprocessing.get_all_start_methods():
-                    self._run_supervised(
-                        rng,
-                        fingerprint,
-                        pending,
-                        completed,
-                        failures,
-                        abandoned,
-                        retried,
-                    )
-                else:  # no fork: in-process, no timeout enforcement
-                    self._run_inline(
-                        rng,
-                        fingerprint,
-                        pending,
-                        completed,
-                        failures,
-                        abandoned,
-                        retried,
-                    )
-        finally:
-            self._flush_checkpoint(fingerprint, completed)
-
-        metrics = [completed[key] for key in keys if key in completed]
-        if not metrics:
+        completed: List[Tuple[RunKey, RunMetrics]] = []
+        retried = 0
+        for key, cell_id in zip(keys, ids):
+            history = (failed.get(cell_id) or done.get(cell_id, {})).get(
+                "history", []
+            )
+            failures += [
+                _failure(key, attempt, entry)
+                for attempt, entry in enumerate(history, 1)
+            ]
+            retried += bool(history)
+            if cell_id in failed:
+                abandoned.append(key)
+                continue
+            measured = cache.get(CAMPAIGN_CELL_KIND, cell_id)
+            if measured is None:
+                raise VerificationError(
+                    f"run {key!r} finished without a stored result in "
+                    f"{cache.store.describe()}"
+                )
+            completed.append((key, measured))
+        if not completed:
             raise VerificationError(
                 f"every run failed permanently; first failure: "
                 f"{failures[0] if failures else None}"
             )
-        ordered_keys = [key for key in keys if key in completed]
-        grid_failures = [
-            key
-            for key in ordered_keys
-            if not (completed[key].safe and completed[key].completed)
-        ]
         if self.stabilization:
             # Corrupted-start workload: a run that drained its whole step
             # budget without completing did not merely "run long" -- it
             # never re-entered legitimate behaviour.  Name it.
-            for key in ordered_keys:
-                run = completed[key]
-                if run.step_budget_exhausted and not run.completed:
-                    failures.append(
-                        RunFailure(
-                            input_sequence=key[0],
-                            seed=key[1],
-                            attempt=1,
-                            kind="non_stabilizing",
-                            message=(
-                                "corrupted start never converged: "
-                                f"{run.steps} steps exhausted the budget "
-                                "without completion"
-                            ),
-                            elapsed_seconds=0.0,
-                        )
-                    )
-                    obs.add("resilience.failures.non_stabilizing")
+            failures += [
+                RunFailure(
+                    input_sequence=key[0],
+                    seed=key[1],
+                    attempt=1,
+                    kind="non_stabilizing",
+                    message=(
+                        "corrupted start never converged: "
+                        f"{run.steps} steps exhausted the budget "
+                        "without completion"
+                    ),
+                )
+                for key, run in completed
+                if run.step_budget_exhausted and not run.completed
+            ]
+        for failure in failures:
+            obs.add(f"resilience.failures.{failure.kind}")
+        metrics = [run for _, run in completed]
         outcome = CampaignOutcome(
             summary=summarize(metrics),
             metrics=tuple(metrics),
-            failures=tuple(grid_failures),
+            failures=tuple(
+                key for key, run in completed if not (run.safe and run.completed)
+            ),
         )
         return ResilientOutcome(
             outcome=outcome,
             run_failures=tuple(failures),
-            retried_runs=len(retried),
+            retried_runs=retried,
             resumed_runs=resumed,
             abandoned=tuple(abandoned),
         )
-
-    def _requeue(
-        self,
-        key: RunKey,
-        attempt: int,
-        kind: str,
-        message: str,
-        elapsed: float,
-        pending: List[Tuple[RunKey, int, float]],
-        failures: List[RunFailure],
-        abandoned: List[RunKey],
-        retried: set,
-    ) -> None:
-        failures.append(
-            RunFailure(
-                input_sequence=key[0],
-                seed=key[1],
-                attempt=attempt,
-                kind=kind,
-                message=message,
-                elapsed_seconds=elapsed,
-            )
-        )
-        obs.add(f"resilience.failures.{kind}")
-        if attempt > self.retries:
-            abandoned.append(key)
-            obs.add("resilience.abandoned")
-            return
-        retried.add(key)
-        obs.add("resilience.retries")
-        delay = self.backoff * (2 ** (attempt - 1))
-        pending.append((key, attempt + 1, time.monotonic() + delay))
-
-    def _run_supervised(
-        self, rng, fingerprint, pending, completed, failures, abandoned, retried
-    ) -> None:
-        context = multiprocessing.get_context("fork")
-        active: List[_Attempt] = []
-        try:
-            while pending or active:
-                now = time.monotonic()
-                # Dispatch eligible work into free slots.
-                for index in range(len(pending) - 1, -1, -1):
-                    if len(active) >= self.workers:
-                        break
-                    key, attempt, not_before = pending[index]
-                    if not_before > now:
-                        continue
-                    pending.pop(index)
-                    parent_conn, child_conn = context.Pipe(duplex=False)
-                    process = context.Process(
-                        target=_child_main,
-                        args=(child_conn, self.campaign, rng, key),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
-                    active.append(
-                        _Attempt(key, attempt, process, parent_conn, now)
-                    )
-                if obs.enabled():
-                    obs.gauge_set("resilience.active_children", len(active))
-                # Reap finished, crashed, and overdue attempts.
-                still_active: List[_Attempt] = []
-                for item in active:
-                    elapsed = time.monotonic() - item.started
-                    if item.conn.poll():
-                        try:
-                            status, payload = item.conn.recv()
-                        except EOFError:
-                            # Pipe closed without a report: the child died
-                            # (os._exit, SIGKILL) mid-run.
-                            item.process.join()
-                            item.conn.close()
-                            self._requeue(
-                                item.key, item.attempt, "crash",
-                                "worker died with exit code "
-                                f"{item.process.exitcode}", elapsed,
-                                pending, failures, abandoned, retried,
-                            )
-                            continue
-                        item.process.join()
-                        item.conn.close()
-                        if status == "ok":
-                            metrics, delta = payload
-                            obs.merge(delta)
-                            completed[item.key] = metrics
-                            self._flush_checkpoint(fingerprint, completed)
-                        else:
-                            self._requeue(
-                                item.key, item.attempt, "error", payload,
-                                elapsed, pending, failures, abandoned, retried,
-                            )
-                    elif elapsed > self.run_timeout:
-                        item.process.terminate()
-                        item.process.join()
-                        item.conn.close()
-                        self._requeue(
-                            item.key, item.attempt, "timeout",
-                            f"run exceeded {self.run_timeout}s", elapsed,
-                            pending, failures, abandoned, retried,
-                        )
-                    elif not item.process.is_alive():
-                        exit_code = item.process.exitcode
-                        item.conn.close()
-                        self._requeue(
-                            item.key, item.attempt, "crash",
-                            f"worker died with exit code {exit_code}", elapsed,
-                            pending, failures, abandoned, retried,
-                        )
-                    else:
-                        still_active.append(item)
-                active = still_active
-                if active or pending:
-                    time.sleep(0.005)
-        except BaseException:
-            for item in active:
-                if item.process.is_alive():
-                    item.process.terminate()
-                item.process.join()
-            raise
-
-    def _run_inline(
-        self, rng, fingerprint, pending, completed, failures, abandoned, retried
-    ) -> None:
-        """Fallback without ``fork``: serial, crashes caught, no timeouts."""
-        while pending:
-            key, attempt, _ = pending.pop(0)
-            start = time.monotonic()
-            try:
-                completed[key] = self.campaign._single_run(rng, key[0], key[1])
-                self._flush_checkpoint(fingerprint, completed)
-            except Exception as error:
-                self._requeue(
-                    key, attempt, "error", f"{type(error).__name__}: {error}",
-                    time.monotonic() - start,
-                    pending, failures, abandoned, retried,
-                )

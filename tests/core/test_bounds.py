@@ -73,6 +73,21 @@ class TestConstructiveTest:
         # The same family fits easily with 3 messages.
         assert family_dup_solvable(family, "abc")
 
+    def test_starved_search_is_not_a_no(self):
+        """An encoding search that runs out of budget decides nothing:
+        it must raise, not answer "unsolvable" (or skip an alphabet
+        size), although the same family is solvable on a real budget."""
+        from repro.core.bounds import structural_min_alphabet
+        from repro.kernel.errors import EncodingSearchExhausted
+
+        family = [(), ("x",), ("x", "x")]
+        assert family_dup_solvable(family, "ab")
+        assert structural_min_alphabet(family) == 2
+        with pytest.raises(EncodingSearchExhausted):
+            family_dup_solvable(family, "ab", search_limit=1)
+        with pytest.raises(EncodingSearchExhausted):
+            structural_min_alphabet(family, search_limit=1)
+
 
 class TestStructuralMinAlphabet:
     def test_matches_counting_bound_for_repetition_free_families(self):

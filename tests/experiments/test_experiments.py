@@ -78,6 +78,30 @@ def test_a2_fails_on_an_exhausted_encoding_search(monkeypatch):
     assert {row[4] for row in result.rows} == {"unknown"}
 
 
+def test_t5_does_not_convict_on_a_truncated_search(monkeypatch):
+    """A safety search stopped by its state budget has not shown that
+    no attack exists, so T5 must not fall through to its liveness
+    conviction: the verdict is "unknown" and every conviction fails."""
+    from repro.experiments import t5_del_impossibility
+    from repro.verify.attack import AttackSearch
+
+    monkeypatch.setattr(
+        t5_del_impossibility,
+        "find_attack_on_family",
+        lambda *args, **kwargs: AttackSearch(
+            status="truncated", witness=None, product_states=2
+        ),
+    )
+    result = t5_del_impossibility.run(seed=0, quick=True)
+    convicted = {
+        name: ok
+        for name, ok in result.checks.items()
+        if name.endswith("_convicted")
+    }
+    assert convicted and not any(convicted.values())
+    assert {row[3] for row in result.rows} == {"unknown (search truncated)"}
+
+
 def test_registry_is_complete():
     from repro.experiments.base import registry
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.cli import main
+from repro.kernel.rng import DeterministicRNG
 from repro.fabric import (
     FabricError,
     FabricWorker,
@@ -159,6 +160,31 @@ class TestWorkerLoop:
         assert stats.computed == len(plan.cells)
         failed = queue.failed_tickets()
         assert any("not in plan" in t.get("error", "") for t in failed)
+
+    def test_embedded_key_must_hash_to_its_ticket(self, tmp_path):
+        """A worker handed a campaign in memory runs the grid key its
+        ticket embeds, and refuses one that the ticket's id does not
+        address, as it refuses a mismatched sweep cell."""
+        campaign = small_spec().build_campaign()
+        rng = DeterministicRNG(0, "fabric")
+        first, second = campaign.grid_keys()[:2]
+        queue = WorkQueue(tmp_path / "queue")
+        queue.init_layout()
+        for key in (first, second):
+            queue.enqueue(
+                campaign.run_key(rng, key),
+                cell={"kind": "campaign", "input": list(second[0]), "seed": second[1]},
+            )
+        cache = ResultCache(tmp_path / "store")
+        stats = FabricWorker(
+            queue=queue, cache=cache, idle_timeout=5.0, campaign=campaign, rng=rng
+        ).run()
+        assert stats.computed == 1
+        assert cache.get("run", campaign.run_key(rng, second)) is not None
+        assert cache.get("run", campaign.run_key(rng, first)) is None
+        (failed,) = queue.failed_tickets()
+        assert failed["cell_id"] == campaign.run_key(rng, first)
+        assert "does not match" in failed["error"]
 
     def test_warm_ticket_short_circuits(self, tmp_path):
         plan, queue, cache = self.make_plan_queue_cache(tmp_path)

@@ -1,11 +1,11 @@
 """Tests for the self-healing campaign runner.
 
 The crash/timeout tests use marker files to make the *first* attempt of a
-run misbehave and every retry succeed: the runner forks a child per run,
-so a marker created by a doomed child is visible to its retry.
+run misbehave and every retry succeed: every attempt runs in a forked
+child, so a marker created by a doomed child is visible to its retry.
 """
 
-import json
+import multiprocessing
 import os
 import time
 
@@ -14,10 +14,17 @@ import pytest
 from repro.adversaries import AgingFairAdversary, EagerAdversary, RandomAdversary
 from repro.analysis.campaign import Campaign
 from repro.channels import DuplicatingChannel
+from repro.fabric.store import LocalDirStore
 from repro.kernel.errors import VerificationError
 from repro.kernel.rng import DeterministicRNG
 from repro.protocols.norepeat import norepeat_protocol
-from repro.resilience import CHECKPOINT_SCHEMA, ResilientRunner
+from repro.resilience import (
+    ResilientRunner,
+    RunCrash,
+    RunError,
+    RunTimeout,
+)
+from repro.resilience.runner import supervised_single_run
 
 
 def small_campaign(adversary_factory=None, **overrides):
@@ -82,50 +89,57 @@ class TestDeterminism:
 
 class TestCheckpointResume:
     def test_interrupted_sweep_resumes_bit_identical(self, tmp_path):
-        checkpoint = tmp_path / "sweep.json"
+        checkpoint = tmp_path / "sweep"
         campaign = small_campaign()
-        uninterrupted = campaign.run(DeterministicRNG(5, "resume"))
+        rng = DeterministicRNG(5, "resume")
+        uninterrupted = campaign.run(rng)
 
-        # Full supervised sweep, checkpointing as it goes.
-        ResilientRunner(campaign, checkpoint_path=checkpoint).run(
-            DeterministicRNG(5, "resume")
-        )
-        # Simulate a sweep killed mid-flight: drop half the completed
-        # runs from the checkpoint (the runner flushes after each run, so
-        # a real kill leaves exactly such a prefix).
-        data = json.loads(checkpoint.read_text())
-        kept = dict(list(data["completed"].items())[:2])
-        data["completed"] = kept
-        checkpoint.write_text(json.dumps(data))
+        # Full supervised sweep, leaving its queue and store behind.
+        ResilientRunner(campaign, checkpoint_dir=checkpoint).run(rng)
+        # Simulate a sweep stopped after two runs: the other two never
+        # reached the store, one of them mid-attempt (its ticket still
+        # leased by a worker that is gone), one never claimed.
+        ids = [campaign.run_key(rng, key) for key in campaign.grid_keys()]
+        store = LocalDirStore(checkpoint / "store")
+        for cell_id in ids[2:]:
+            assert store.delete("run", cell_id)
+        for cell_id, state in zip(ids[2:], ("leased", "pending")):
+            (checkpoint / "done" / f"{cell_id}.json").rename(
+                checkpoint / state / f"{cell_id}.json"
+            )
 
-        resumed = ResilientRunner(campaign, checkpoint_path=checkpoint).run(
+        resumed = ResilientRunner(campaign, checkpoint_dir=checkpoint).run(
             DeterministicRNG(5, "resume")
         )
         assert resumed.resumed_runs == 2
+        assert resumed.run_failures == ()
         assert resumed.outcome.metrics == uninterrupted.metrics
         assert resumed.outcome.summary == uninterrupted.summary
+        # Resuming a finished sweep runs nothing.
+        again = ResilientRunner(campaign, checkpoint_dir=checkpoint).run(
+            DeterministicRNG(5, "resume")
+        )
+        assert again.resumed_runs == 4
+        assert again.outcome.metrics == uninterrupted.metrics
 
     def test_checkpoint_from_other_grid_refused(self, tmp_path):
-        checkpoint = tmp_path / "sweep.json"
-        checkpoint.write_text(
-            json.dumps(
-                {
-                    "schema": CHECKPOINT_SCHEMA,
-                    "fingerprint": "not-this-campaign",
-                    "completed": {},
-                }
+        checkpoint = tmp_path / "sweep"
+        ResilientRunner(
+            small_campaign(inputs=[("a", "b")]), checkpoint_dir=checkpoint
+        ).run(DeterministicRNG(5, "resume"))
+        before = sorted(checkpoint.rglob("*"))
+        for inputs, rng in (
+            ([("c", "d", "a")], DeterministicRNG(5, "resume")),  # other grid
+            ([("a", "b")], DeterministicRNG(6, "resume")),  # other RNG seed
+            ([("a", "b")], DeterministicRNG(5, "other")),  # other RNG path
+        ):
+            runner = ResilientRunner(
+                small_campaign(inputs=inputs), checkpoint_dir=checkpoint
             )
-        )
-        runner = ResilientRunner(small_campaign(), checkpoint_path=checkpoint)
-        with pytest.raises(VerificationError):
-            runner.run(DeterministicRNG(5, "resume"))
-
-    def test_unsupported_schema_refused(self, tmp_path):
-        checkpoint = tmp_path / "sweep.json"
-        checkpoint.write_text(json.dumps({"schema": "something-else/1"}))
-        runner = ResilientRunner(small_campaign(), checkpoint_path=checkpoint)
-        with pytest.raises(VerificationError):
-            runner.run(DeterministicRNG(5, "resume"))
+            with pytest.raises(VerificationError, match="different campaign"):
+                runner.run(rng)
+        # Refused before any work started: nothing enqueued or stored.
+        assert sorted(checkpoint.rglob("*")) == before
 
 
 class TestSelfHealing:
@@ -141,7 +155,7 @@ class TestSelfHealing:
             inputs=[("a", "b")],
             seeds=1,
         ).run(DeterministicRNG(0, "heal"))
-        result = ResilientRunner(campaign, backoff=0.01).run(
+        result = ResilientRunner(campaign).run(
             DeterministicRNG(0, "heal")
         )
         assert result.retried_runs == 1
@@ -159,7 +173,7 @@ class TestSelfHealing:
             seeds=1,
         )
         result = ResilientRunner(
-            campaign, run_timeout=0.5, backoff=0.01
+            campaign, run_timeout=0.5
         ).run(DeterministicRNG(0, "heal"))
         assert result.retried_runs == 1
         assert result.abandoned == ()
@@ -173,7 +187,7 @@ class TestSelfHealing:
             inputs=[("a", "b")],
             seeds=1,
         )
-        result = ResilientRunner(campaign, backoff=0.01).run(
+        result = ResilientRunner(campaign).run(
             DeterministicRNG(0, "heal")
         )
         assert [f.kind for f in result.run_failures] == ["error"]
@@ -190,7 +204,7 @@ class TestSelfHealing:
         campaign = small_campaign(
             adversary_factory=lambda rng: AlwaysCrash(), seeds=1
         )
-        result = ResilientRunner(campaign, retries=1, backoff=0.01).run(
+        result = ResilientRunner(campaign, retries=1).run(
             DeterministicRNG(0, "heal")
         )
         assert result.abandoned == ((("c", "d", "a"), 0),)
@@ -209,7 +223,7 @@ class TestSelfHealing:
             inputs=[("a", "b")],
             seeds=1,
         )
-        runner = ResilientRunner(campaign, retries=0, backoff=0.01)
+        runner = ResilientRunner(campaign, retries=0)
         with pytest.raises(VerificationError):
             runner.run(DeterministicRNG(0, "heal"))
 
@@ -221,8 +235,6 @@ class TestValidation:
             ResilientRunner(campaign, run_timeout=0)
         with pytest.raises(VerificationError):
             ResilientRunner(campaign, retries=-1)
-        with pytest.raises(VerificationError):
-            ResilientRunner(campaign, backoff=-0.5)
 
 
 class TestSupervisedSingleRun:
@@ -298,3 +310,49 @@ class TestSupervisedSingleRun:
                 heartbeat=lambda: beats.append(1),
             )
         assert beats  # the lease stayed fresh while the child hung
+
+
+class TestTypedFailures:
+    """A failure's kind is its type, and its message prefix, so it
+    survives the queue ticket's attempt history."""
+
+    @pytest.mark.parametrize(
+        "mode, error_type",
+        [("crash", RunCrash), ("hang", RunTimeout), ("error", RunError)],
+    )
+    def test_each_failure_raises_its_kind(self, tmp_path, mode, error_type):
+        campaign = small_campaign(
+            adversary_factory=lambda rng: _SabotagedAdversary(
+                str(tmp_path / "marker"), mode
+            )
+        )
+        with pytest.raises(error_type) as info:
+            supervised_single_run(
+                campaign, DeterministicRNG(0), (("a", "b"), 0), run_timeout=0.5
+            )
+        assert isinstance(info.value, VerificationError)
+        assert str(info.value).startswith(f"{error_type.kind}: ")
+
+    def test_error_without_fork_is_typed(self, tmp_path, monkeypatch):
+        """Without ``fork`` the run executes in-process; its exception
+        must still surface as a typed failure, not escape untyped and
+        take the fabric worker (and its lease) down with it."""
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        campaign = small_campaign(
+            adversary_factory=lambda rng: _SabotagedAdversary(
+                str(tmp_path / "marker"), "error"
+            ),
+            inputs=[("a", "b")],
+            seeds=1,
+        )
+        with pytest.raises(RunError, match="injected failure"):
+            supervised_single_run(campaign, DeterministicRNG(0), (("a", "b"), 0))
+        # Re-armed, the same failure reaches the runner's inline worker,
+        # which records it and retries the run instead of dying.
+        os.remove(tmp_path / "marker")
+        result = ResilientRunner(campaign).run(DeterministicRNG(0, "heal"))
+        assert [f.kind for f in result.run_failures] == ["error"]
+        assert result.retried_runs == 1
+        assert result.outcome.summary.runs == 1

@@ -233,9 +233,9 @@ class TestCrashComposition:
         campaign = corrupted_campaign(
             "abp", self.DEAD_SENDER, self.DEAD_RECEIVER
         )
-        result = ResilientRunner(
-            campaign, stabilization=True, backoff=0.01
-        ).run(DeterministicRNG(0, "stabilize"))
+        result = ResilientRunner(campaign, stabilization=True).run(
+            DeterministicRNG(0, "stabilize")
+        )
         kinds = [failure.kind for failure in result.run_failures]
         assert "non_stabilizing" in kinds
         flagged = next(
@@ -253,7 +253,7 @@ class TestCrashComposition:
         campaign = corrupted_campaign(
             "abp", self.DEAD_SENDER, self.DEAD_RECEIVER
         )
-        result = ResilientRunner(campaign, backoff=0.01).run(
+        result = ResilientRunner(campaign).run(
             DeterministicRNG(0, "stabilize")
         )
         assert all(
@@ -265,9 +265,9 @@ class TestCrashComposition:
         campaign = corrupted_campaign(
             "ss-arq", self.DEAD_SENDER, self.DEAD_RECEIVER
         )
-        result = ResilientRunner(
-            campaign, stabilization=True, backoff=0.01
-        ).run(DeterministicRNG(0, "stabilize"))
+        result = ResilientRunner(campaign, stabilization=True).run(
+            DeterministicRNG(0, "stabilize")
+        )
         assert all(
             failure.kind != "non_stabilizing"
             for failure in result.run_failures
