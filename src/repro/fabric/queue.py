@@ -3,8 +3,9 @@
 Any filesystem both sides can see *is* the coordination layer: there is
 no broker process to run, crash, or firewall.  Correctness rests on one
 primitive -- ``os.rename`` within a filesystem is atomic -- so every
-state transition of a ticket is a rename, and a ticket is always in
-exactly one state directory:
+state transition of a ticket is a rename (new ticket versions are
+published by renaming a private temporary file over the target), and a
+ticket is always in exactly one state directory:
 
 .. code-block:: text
 
@@ -27,9 +28,9 @@ or a campaign grid key (``{"kind": "campaign", "input": [...],
 campaign's runs to workers.  Either way a worker recomputes the cell id
 from the payload and refuses a mismatch.  The embedded cell and the
 accumulated ``history`` of attempt errors survive every
-requeue/park transition, and a worker copies the history into the
-``done`` ticket.  A :class:`ResilientRunner` checkpoint is such a queue
-directory plus the result store beside it.
+requeue/park transition, and the ``done`` ticket keeps both.  A
+:class:`ResilientRunner` checkpoint is such a queue directory plus the
+result store beside it.
 
 Claiming is ``rename(pending/X, leased/X)``: of N racing workers
 exactly one rename succeeds and the rest observe ``FileNotFoundError``
@@ -45,6 +46,17 @@ twice, but cells are pure functions stored content-addressed in the
 shared cache -- both computations publish byte-identical results and
 ``done`` tickets are idempotent.  At-least-once execution plus
 deterministic results equals exactly-once observable effect.
+
+A new file costs far more than a rename on most filesystems, so only
+these transitions write one: ``enqueue`` (the pending ticket), a
+``claim`` by a worker the ticket does not already name (the lease is
+rewritten to name it), a completion that adds facts the lease lacks or
+has no lease to move, and ``release_failed``.  Everything else is a
+rename or a touch: a claim by the worker the ticket names, and a plain
+completion, which moves the lease -- cell, attempt history and worker
+included -- into ``done/``.  A cold service job, whose ticket names the
+pool at enqueue, writes one ticket file; a computed fabric cell writes
+two.
 """
 
 from __future__ import annotations
@@ -183,12 +195,16 @@ class WorkQueue:
         cell_id: str,
         attempt: int = 1,
         cell: Optional[Dict] = None,
+        info: Optional[Dict] = None,
     ) -> bool:
         """Add a pending ticket; False if the cell is already tracked.
 
         ``cell`` embeds a self-describing payload (a
         :meth:`SweepCell.to_dict`) so workers can execute the ticket
-        without a bound plan.
+        without a bound plan.  ``info`` adds top-level fields: the
+        service pool names the job's ``kind`` and itself as ``worker``,
+        so its claim need not rewrite the ticket and the completed
+        ticket counts under its kind.
         """
         if any(
             self._ticket_path(state, cell_id).exists() for state in STATES
@@ -201,15 +217,42 @@ class WorkQueue:
         }
         if cell is not None:
             payload["cell"] = cell
+        payload.update(info or {})
         self._write_json(self._ticket_path("pending", cell_id), payload)
         return True
 
     def mark_done(self, cell_id: str, info: Optional[Dict] = None) -> None:
-        """Record completion and release any lease (idempotent)."""
-        payload = {"schema": FABRIC_SCHEMA, "cell_id": cell_id}
-        payload.update(info or {})
-        self._write_json(self._ticket_path("done", cell_id), payload)
-        self._ticket_path("leased", cell_id).unlink(missing_ok=True)
+        """Record completion and release any lease (idempotent).
+
+        The lease already holds the ticket's cell, attempt history and
+        worker, so a plain completion is one rename of the lease into
+        ``done/``.  A done ticket is written only when ``info`` brings
+        facts the lease lacks (``warm``) or there is no lease to move;
+        it then carries the lease's fields too.  A completion that finds
+        a done ticket in place keeps it: a late one -- its lease was
+        requeued and another worker finished first -- only drops its
+        lease.
+        """
+        done = self._ticket_path("done", cell_id)
+        leased = self._ticket_path("leased", cell_id)
+        if done.exists():
+            leased.unlink(missing_ok=True)
+        elif info:
+            payload = {"schema": FABRIC_SCHEMA, "cell_id": cell_id}
+            payload.update(self._read_ticket(leased) or {})
+            payload.update(info)
+            self._write_json(done, payload)
+            leased.unlink(missing_ok=True)
+        else:
+            try:
+                os.replace(leased, done)
+            except FileNotFoundError:
+                # No lease to move.  If a racing completion moved it,
+                # its done ticket is the richer record: keep it.
+                if not done.exists():
+                    self._write_json(
+                        done, {"schema": FABRIC_SCHEMA, "cell_id": cell_id}
+                    )
         # A ticket requeued by an overeager lease expiry may also sit in
         # pending; completion supersedes it.
         self._ticket_path("pending", cell_id).unlink(missing_ok=True)
@@ -229,6 +272,13 @@ class WorkQueue:
         at most a few collisions.  With ``cell_id`` the claim is
         *targeted*: only that ticket is attempted (the service pool
         claims the exact job it was dispatched for, never a sibling's).
+
+        The pending ticket is touched before it is renamed, so the lease
+        starts at the claim however long the ticket waited.  The lease
+        is rewritten only when the ticket does not already name
+        ``worker_id``.  Fabric tickets name no worker until claimed, so
+        a fabric worker's claim always rewrites, and lease expiry names
+        the worker that died.
         """
         worker_id = worker_id or default_worker_id()
         pending = self._dir("pending")
@@ -245,12 +295,12 @@ class WorkQueue:
             cell_id = name[: -len(".json")]
             leased = self._ticket_path("leased", cell_id)
             try:
+                os.utime(pending / name)
                 os.rename(pending / name, leased)
             except OSError:
                 continue  # lost the race for this ticket; try the next
-            try:
-                ticket = json.loads(leased.read_text())
-            except (OSError, json.JSONDecodeError):
+            ticket = self._read_ticket(leased)
+            if ticket is None:
                 # Torn ticket (should not happen: writes are atomic).
                 # Park it as failed rather than looping on it forever.
                 self._write_json(
@@ -263,8 +313,9 @@ class WorkQueue:
                 )
                 leased.unlink(missing_ok=True)
                 continue
-            ticket["worker"] = worker_id
-            self._write_json(leased, ticket)
+            if ticket.get("worker") != worker_id:
+                ticket["worker"] = worker_id
+                self._write_json(leased, ticket)
             obs.add("fabric.cells_claimed")
             return ticket
         return None
@@ -329,9 +380,8 @@ class WorkQueue:
                 continue  # completed or requeued under us
             if age <= self.lease_timeout:
                 continue
-            try:
-                ticket = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
+            ticket = self._read_ticket(path)
+            if ticket is None:
                 continue
             cell_id = path.stem
             if self._ticket_path("done", cell_id).exists():
@@ -372,25 +422,29 @@ class WorkQueue:
             counts: Dict[str, int] = {}
             if directory.is_dir():
                 for path in sorted(directory.glob("*.json")):
-                    try:
-                        ticket = json.loads(path.read_text())
-                    except (OSError, json.JSONDecodeError):
+                    ticket = self._read_ticket(path)
+                    if ticket is None:
                         kind = "?"
+                    elif isinstance(ticket.get("cell"), dict):
+                        kind = str(ticket["cell"].get("kind", "campaign"))
                     else:
-                        embedded = ticket.get("cell")
-                        if isinstance(embedded, dict):
-                            kind = str(embedded.get("kind", "campaign"))
-                        else:
-                            # done tickets carry the kind at top level
-                            kind = str(ticket.get("kind", "campaign"))
+                        # service jobs and warm sweep completions carry
+                        # the kind at top level
+                        kind = str(ticket.get("kind", "campaign"))
                     counts[kind] = counts.get(kind, 0) + 1
             result[state] = counts
         return result
 
     def drained(self) -> bool:
         """True when no ticket is pending or leased."""
-        counts = self.counts()
-        return counts["pending"] == 0 and counts["leased"] == 0
+        for state in ("pending", "leased"):
+            try:
+                names = os.listdir(self._dir(state))
+            except FileNotFoundError:
+                continue
+            if any(name.endswith(".json") for name in names):
+                return False
+        return True
 
     def done_ids(self) -> List[str]:
         done = self._dir("done")
@@ -408,13 +462,20 @@ class WorkQueue:
             return {}
         tickets = {}
         for path in sorted(directory.glob("*.json")):
-            try:
-                tickets[path.stem] = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
+            ticket = self._read_ticket(path)
+            if ticket is not None:
+                tickets[path.stem] = ticket
         return tickets
 
     # -- plumbing ------------------------------------------------------
+
+    @staticmethod
+    def _read_ticket(path: Path) -> Optional[Dict]:
+        """The ticket at ``path``, or None if it is missing or torn."""
+        try:
+            return json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError):
+            return None
 
     @staticmethod
     def _write_json(path: Path, payload: Dict) -> None:

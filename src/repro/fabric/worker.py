@@ -47,6 +47,11 @@ if TYPE_CHECKING:
     from repro.analysis.campaign import Campaign
     from repro.kernel.rng import DeterministicRNG
 
+#: Idle poll while peers hold every lease: the first wait, doubled per
+#: empty poll up to the cap, and reset by a claim.
+_IDLE_POLL_FIRST_S = 0.002
+_IDLE_POLL_MAX_S = 0.05
+
 
 @dataclass
 class WorkerStats:
@@ -114,6 +119,7 @@ class FabricWorker:
         stats = WorkerStats(worker_id=self.worker_id)
         started = time.monotonic()
         idle_since: Optional[float] = None
+        idle_wait = _IDLE_POLL_FIRST_S
         while True:
             if (
                 self.max_cells is not None
@@ -133,9 +139,11 @@ class FabricWorker:
                     and now - idle_since > self.idle_timeout
                 ):
                     break
-                time.sleep(0.05)
+                time.sleep(idle_wait)
+                idle_wait = min(2 * idle_wait, _IDLE_POLL_MAX_S)
                 continue
             idle_since = None
+            idle_wait = _IDLE_POLL_FIRST_S
             stats.claimed += 1
             self._work_one(plan, campaign, rng, ticket, stats)
         stats.elapsed_seconds = time.monotonic() - started
@@ -206,11 +214,18 @@ class FabricWorker:
         stats.computed += 1
         self._mark_done(ticket)
 
-    def _mark_done(self, ticket, **info) -> None:
-        """Complete ``ticket``, keeping the history of its failed attempts."""
-        info = {"worker": self.worker_id, **info}
-        if "history" in ticket:
-            info["history"] = ticket["history"]
+    def _mark_done(
+        self, ticket, kind: Optional[str] = None, warm: bool = False
+    ) -> None:
+        """Complete ``ticket`` with only the facts its lease lacks.
+
+        The lease already names this worker and carries the embedded
+        cell and the history of failed attempts, so a computed cell
+        completes by rename; a warm one adds ``warm``.
+        """
+        info: Dict[str, object] = {"warm": True} if warm else {}
+        if kind is not None and "cell" not in ticket:
+            info["kind"] = kind  # a plan-bound sweep ticket names none
         self.queue.mark_done(ticket["cell_id"], info)
 
     @staticmethod

@@ -9,9 +9,14 @@ A :class:`ServicePool` marries three existing pieces:
   (keyed by its report/plan fingerprint instead of a campaign cell id)
   that moves pending -> leased -> done/failed through the same atomic
   renames, with the lease heartbeat refreshed from inside long
-  computations.  The ledger is an audit trail and liveness signal, not
-  a correctness dependency -- results live in the content-addressed
-  cache, exactly as in the fabric;
+  computations.  The worker thread keeps the ledger, not the event
+  loop: it enqueues the ticket already naming the job's kind and the
+  pool as worker, claims it by id without a rewrite and completes it by
+  renaming the lease, so a cold job writes one ticket file and the loop
+  is free to parse the next request (a coalescing twin) meanwhile.  The
+  ledger is an audit trail and liveness signal, not a correctness
+  dependency -- results live in the content-addressed cache, exactly as
+  in the fabric;
 * :func:`~repro.resilience.runner.supervised_single_run` supervises each
   campaign cell (fork, timeout, crash containment) via the request's own
   ``execute``.
@@ -39,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from repro import obs
-from repro.fabric.queue import WorkQueue
+from repro.fabric.queue import WorkQueue, default_worker_id
 from repro.kernel.errors import KernelError
 from repro.service.jobs import Job, JobBoard, ServiceStats
 from repro.service.protocol import ServiceError
@@ -70,6 +75,7 @@ class ServicePool:
         self.stats = stats
         self.workers = max(1, int(workers))
         self.dispatch = dispatch
+        self.worker_id = default_worker_id()
         self._executor: Optional[ThreadPoolExecutor] = None
 
     def start(self) -> None:
@@ -84,14 +90,13 @@ class ServicePool:
             self._executor = None
 
     def submit(self, job: Job, loop: asyncio.AbstractEventLoop) -> None:
-        """Ticket the job in the ledger and hand it to a worker thread."""
+        """Hand the job to a worker thread, which tickets it in the ledger."""
         if self._executor is None:
             raise RuntimeError("pool is not running")
         if self._enqueues(job):
             # The sweep cells become the tickets; no job-key ticket.
             self._executor.submit(self._run_enqueued, job, loop)
             return
-        self.queue.enqueue(job.key)
         self._executor.submit(self._run, job, loop)
 
     def _enqueues(self, job: Job) -> bool:
@@ -103,12 +108,18 @@ class ServicePool:
     # -- worker-thread side --------------------------------------------
 
     def _run(self, job: Job, loop: asyncio.AbstractEventLoop) -> None:
-        # Targeted claim of exactly this job's ticket.  A None ticket is
-        # tolerated: a stale done/failed ticket from a prior server on
-        # the same ledger makes enqueue a no-op, and the ledger is an
-        # audit aid, not the source of truth.
-        ticket = self.queue.claim(cell_id=job.key)
+        ticket = None
         try:
+            # The ticket names this pool, so the targeted claim of
+            # exactly this job's ticket renames it without a rewrite.  A
+            # None ticket is tolerated: a stale done/failed ticket from
+            # a prior server on the same ledger makes enqueue a no-op,
+            # and the ledger is an audit aid, not the source of truth.
+            self.queue.enqueue(
+                job.key,
+                info={"kind": job.request.kind, "worker": self.worker_id},
+            )
+            ticket = self.queue.claim(self.worker_id, cell_id=job.key)
             with obs.span("service.job", kind=job.request.kind):
                 outcome = job.request.execute(
                     self.cache,
@@ -126,7 +137,11 @@ class ServicePool:
             self._ledger_failed(ticket, job, repr(error))
             self._resolve(loop, job, error=ServiceError(repr(error)))
         else:
-            self.queue.mark_done(job.key, {"kind": job.request.kind})
+            # The lease names the kind; a done ticket written without
+            # one (see above) must name it itself.
+            self.queue.mark_done(
+                job.key, {"kind": job.request.kind} if ticket is None else None
+            )
             self._resolve(loop, job, outcome=outcome)
 
     def _run_enqueued(self, job: Job, loop: asyncio.AbstractEventLoop) -> None:

@@ -16,8 +16,8 @@ window for two identical requests to both go cold):
 3. **admission gate** -- the board already holds ``max_queue_depth``
    cold jobs?  Shed with a typed ``busy`` error instead of queueing
    without bound or hanging the client.
-4. **dispatch** -- create the job, ticket it in the ledger, hand it to
-   the pool.
+4. **dispatch** -- create the job and hand it to the pool, whose worker
+   thread tickets it in the ledger.
 
 Subscribed requests receive periodic ``progress`` events (elapsed time
 plus ``repro.obs`` counter deltas since the job started) while they
@@ -49,6 +49,11 @@ from repro.service.protocol import (
     ShuttingDown,
 )
 from repro.service.requests import ServiceLimits, parse_request
+
+#: Seconds :meth:`VerificationService.stop` gives connected clients to
+#: hang up, once in-flight jobs have drained, before it closes their
+#: connections.
+SHUTDOWN_GRACE_S = 1.0
 
 
 def _counter_delta(
@@ -102,6 +107,8 @@ class VerificationService:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping: Optional[asyncio.Event] = None
+        #: open connections: handler task -> its writer
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.bound_port: Optional[int] = None
 
     # -- lifecycle -----------------------------------------------------
@@ -132,16 +139,36 @@ class VerificationService:
                 Path(port_file).unlink(missing_ok=True)
 
     async def stop(self) -> None:
-        """Stop accepting, then drain the pool (graceful shutdown)."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Graceful shutdown: stop accepting, drain, then close connections.
+
+        In-flight computations finish and publish, and their waiters
+        get their answers.  Connected clients then have
+        :data:`SHUTDOWN_GRACE_S` to hang up; the connections that remain
+        are closed and their handlers awaited, so none is left for the
+        loop's teardown to cancel.
+        """
+        self.request_shutdown()
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         # Drain: let in-flight computations finish so their results are
         # published before the process exits.
         await asyncio.get_running_loop().run_in_executor(
             None, self.pool.shutdown
         )
+        if self._connections:
+            _, lingering = await asyncio.wait(
+                list(self._connections), timeout=SHUTDOWN_GRACE_S
+            )
+            for task in lingering:
+                # abort, not close: close waits to flush what a client
+                # that stopped reading may never take, and a lost
+                # connection ends every await in the handler.
+                self._connections[task].transport.abort()
+            if lingering:
+                await asyncio.wait(lingering)
+        if server is not None:
+            await server.wait_closed()
 
     def request_shutdown(self) -> None:
         if self._stopping is not None:
@@ -154,6 +181,8 @@ class VerificationService:
     ) -> None:
         self.stats.connections += 1
         obs.add("service.connections")
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -172,6 +201,7 @@ class VerificationService:
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
+            del self._connections[task]
 
     async def _handle_line(
         self, line: bytes, writer: asyncio.StreamWriter

@@ -186,6 +186,69 @@ class TestWorkerLoop:
         assert failed["cell_id"] == campaign.run_key(rng, first)
         assert "does not match" in failed["error"]
 
+    def test_computed_cell_writes_two_ticket_files(
+        self, tmp_path, monkeypatch
+    ):
+        """The pending ticket and the claim's lease naming the worker;
+        completion renames the lease into done/."""
+        plan = plan_cells(small_spec())
+        queue = WorkQueue(tmp_path / "queue")
+        queue.init(plan)
+        written = []
+        write_json = WorkQueue._write_json
+
+        def recording_write(path, payload):
+            written.append(path.parent.name)
+            write_json(path, payload)
+
+        monkeypatch.setattr(
+            WorkQueue, "_write_json", staticmethod(recording_write)
+        )
+        cell_id = plan.cells[0].cell_id
+        queue.enqueue(cell_id)
+        stats = FabricWorker(
+            queue=queue,
+            cache=ResultCache(tmp_path / "store"),
+            worker_id="w1",
+        ).run()
+        assert stats.computed == 1
+        assert written == ["pending", "leased"]
+        assert queue.tickets("done")[cell_id]["worker"] == "w1"
+
+    def test_idle_poll_backs_off_and_resets_after_a_claim(
+        self, tmp_path, monkeypatch
+    ):
+        """Waiting on a peer's lease starts with a short poll that doubles
+        up to the cap; a claim starts the backoff over."""
+        import time
+
+        from repro.fabric import worker as worker_module
+
+        queue = WorkQueue(tmp_path / "queue", max_attempts=1)
+        queue.init_layout()
+        queue.enqueue("held")
+        queue.claim("peer")  # a live peer's lease keeps the queue busy
+        waits = []
+
+        def fake_sleep(seconds):
+            waits.append(seconds)
+            if len(waits) == 8:
+                queue.enqueue("stray")  # claimed and parked next poll
+            elif len(waits) == 10:
+                queue.mark_done("held")  # the peer finishes
+
+        monkeypatch.setattr(time, "sleep", fake_sleep)
+        stats = FabricWorker(
+            queue=queue, cache=ResultCache(tmp_path / "store")
+        ).run()
+        assert stats.claimed == 1 and stats.failed == 1
+        assert len(waits) == 10
+        cap = worker_module._IDLE_POLL_MAX_S
+        assert waits[0] < cap
+        assert max(waits) == cap
+        assert waits[:8] == sorted(waits[:8])
+        assert waits[8] == waits[0]
+
     def test_warm_ticket_short_circuits(self, tmp_path):
         plan, queue, cache = self.make_plan_queue_cache(tmp_path)
         # Pre-warm one cell the way a prior campaign would.

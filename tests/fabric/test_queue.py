@@ -153,6 +153,115 @@ class TestTicketLifecycle:
         }
 
 
+class TestCompletionByRename:
+    """Claims and completions move the ticket file; only new facts write."""
+
+    def test_done_ticket_is_the_renamed_lease(self, tmp_path):
+        queue = make_queue(tmp_path)
+        embedded = {"schema": "stp-fabric-sweep/1", "kind": "explore"}
+        queue.enqueue("cell-1", cell=embedded)
+        assert queue.release_failed(queue.claim("w1"), "boom") == "requeued"
+        queue.claim("w2")
+        lease = os.stat(queue._ticket_path("leased", "cell-1")).st_ino
+        queue.mark_done("cell-1")
+        done = queue._ticket_path("done", "cell-1")
+        assert os.stat(done).st_ino == lease
+        ticket = json.loads(done.read_text())
+        assert ticket["cell"] == embedded
+        assert ticket["attempt"] == 2
+        assert ticket["history"] == ["boom"]
+        assert ticket["worker"] == "w2"
+        assert queue.counts() == {
+            "pending": 0, "leased": 0, "done": 1, "failed": 0,
+        }
+
+    def test_mark_done_with_info_writes_it_over_the_lease_fields(
+        self, tmp_path
+    ):
+        queue = make_queue(tmp_path)
+        queue.enqueue("cell-1", cell={"kind": "explore"})
+        queue.claim("w1")
+        queue.mark_done("cell-1", {"warm": True})
+        (ticket,) = queue.tickets("done").values()
+        assert ticket["warm"] is True
+        assert ticket["worker"] == "w1"
+        assert ticket["cell"] == {"kind": "explore"}
+        assert queue.counts()["leased"] == 0
+
+    def test_late_mark_done_never_thins_a_done_ticket(self, tmp_path):
+        queue = make_queue(tmp_path)
+        queue.enqueue("cell-1")
+        queue.claim("w1")
+        queue.mark_done("cell-1", {"warm": True, "kind": "explore"})
+        done = queue._ticket_path("done", "cell-1")
+        before = (os.stat(done).st_ino, done.read_text())
+        # The slow worker whose lease was requeued and claimed again
+        # finishes after the first completion.
+        queue._write_json(
+            queue._ticket_path("leased", "cell-1"),
+            {"schema": "stp-fabric/1", "cell_id": "cell-1", "attempt": 2},
+        )
+        queue.mark_done("cell-1")
+        queue.mark_done("cell-1", {"kind": "stabilize"})
+        assert (os.stat(done).st_ino, done.read_text()) == before
+        assert queue.counts() == {
+            "pending": 0, "leased": 0, "done": 1, "failed": 0,
+        }
+
+    def test_completion_losing_the_rename_keeps_the_moved_lease(
+        self, tmp_path, monkeypatch
+    ):
+        """Two completions race for one lease: the one whose rename finds
+        it gone keeps the done ticket the other moved into place."""
+        queue = make_queue(tmp_path)
+        queue.enqueue("cell-1")
+        queue.claim("w1")
+        real_replace = os.replace
+
+        def racing_replace(source, target):
+            real_replace(source, target)
+            if Path(source).parent.name == "leased":
+                raise FileNotFoundError(source)  # the other one won
+
+        monkeypatch.setattr(os, "replace", racing_replace)
+        queue.mark_done("cell-1")
+        (ticket,) = queue.tickets("done").values()
+        assert ticket["worker"] == "w1"
+
+    def test_mark_done_without_a_lease_writes_a_done_ticket(self, tmp_path):
+        queue = make_queue(tmp_path)
+        queue.mark_done("cell-1")
+        queue.mark_done("cell-2", {"warm": True, "kind": "explore"})
+        done = queue.tickets("done")
+        assert done["cell-1"] == {"schema": "stp-fabric/1", "cell_id": "cell-1"}
+        assert done["cell-2"]["warm"] is True
+        assert queue.kind_counts()["done"] == {"campaign": 1, "explore": 1}
+
+    def test_claim_by_the_named_worker_keeps_the_file(self, tmp_path):
+        queue = make_queue(tmp_path)
+        queue.enqueue("cell-1", info={"worker": "w1", "kind": "explore"})
+        pending = os.stat(queue._ticket_path("pending", "cell-1")).st_ino
+        ticket = queue.claim("w1", cell_id="cell-1")
+        assert ticket["worker"] == "w1"
+        leased = queue._ticket_path("leased", "cell-1")
+        assert os.stat(leased).st_ino == pending
+        assert queue.kind_counts()["leased"] == {"explore": 1}
+
+    def test_unrewritten_lease_starts_at_the_claim(self, tmp_path):
+        """A ticket that waited in pending past the lease timeout is not
+        an expired lease the moment it is claimed."""
+        queue = make_queue(tmp_path, lease_timeout=0.5)
+        queue.enqueue("cell-1", info={"worker": "w1"})
+        pending = queue._ticket_path("pending", "cell-1")
+        waited = time.time() - 3600
+        os.utime(pending, (waited, waited))
+        inode = os.stat(pending).st_ino
+        queue.claim("w1")
+        assert os.stat(queue._ticket_path("leased", "cell-1")).st_ino == inode
+        assert queue.requeue_expired() == 0
+        assert queue.counts()["leased"] == 1
+
+
 class TestLeaseExpiry:
     def test_fresh_leases_are_left_alone(self, tmp_path):
         queue = make_queue(tmp_path, lease_timeout=60.0)

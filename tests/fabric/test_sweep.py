@@ -455,6 +455,35 @@ class TestWorkerCrashRecovery:
         assert sweep_outcome_to_json(plan, results) == reference
 
 
+class TestTicketWrites:
+    def test_computed_sweep_cell_completes_by_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """The lease embeds the cell, so its kind needs no done ticket
+        of its own: two ticket files per computed cell."""
+        plan = plan_sweep(explore_spec())
+        cell = plan.cells[0]
+        queue = WorkQueue(tmp_path / "queue")
+        queue.init(plan)
+        written = []
+        write_json = WorkQueue._write_json
+
+        def recording_write(path, payload):
+            written.append(path.parent.name)
+            write_json(path, payload)
+
+        monkeypatch.setattr(
+            WorkQueue, "_write_json", staticmethod(recording_write)
+        )
+        queue.enqueue(cell.cell_id, cell=cell.to_dict())
+        stats = FabricWorker(
+            queue=queue, cache=ResultCache(tmp_path / "store")
+        ).run()
+        assert stats.computed == 1
+        assert written == ["pending", "leased"]
+        assert queue.kind_counts()["done"] == {"explore": 1}
+
+
 class TestMalformedTickets:
     def test_malformed_embedded_cell_parks_as_failed(self, tmp_path):
         plan = plan_sweep(explore_spec())

@@ -12,6 +12,9 @@ production code path.
 
 from __future__ import annotations
 
+import gc
+import inspect
+import logging
 import socket
 import threading
 import time
@@ -19,7 +22,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.fabric.queue import WorkQueue
 from repro.service import protocol
+from repro.service import server as server_module
 from repro.service.client import ServiceClient
 from repro.service.requests import (
     CampaignRequest,
@@ -421,3 +426,69 @@ def test_enqueue_dispatch_times_out_without_a_fleet(make_service):
         message = client.call("explore", EXPLORE_A)
     assert message["type"] == "error"
     assert "fabric workers" in message["message"]
+
+
+def _record_ledger_calls(monkeypatch):
+    """Wrap every ``WorkQueue`` method to record ``(name, thread)``."""
+    calls = []
+    for name, attr in list(vars(WorkQueue).items()):
+        if isinstance(attr, staticmethod):
+            function, rewrap = attr.__func__, staticmethod
+        elif inspect.isfunction(attr) and not name.startswith("__"):
+            function, rewrap = attr, None
+        else:
+            continue
+
+        def wrapper(*args, _function=function, _name=name, **kwargs):
+            calls.append((_name, threading.current_thread()))
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(
+            WorkQueue, name, rewrap(wrapper) if rewrap else wrapper
+        )
+    return calls
+
+
+def test_cold_inline_job_writes_one_ticket_file_off_the_event_loop(
+    tmp_path, monkeypatch
+):
+    """The pool thread enqueues a ticket naming the job's kind and the
+    pool, claims it without a rewrite and completes it by rename; the
+    event loop makes no ledger call."""
+    service = build_service(tmp_path / "store", tmp_path / "queue", workers=1)
+    with ServiceThread(service) as host:
+        calls = _record_ledger_calls(monkeypatch)
+        with ServiceClient("127.0.0.1", host.port) as client:
+            message = client.call("explore", EXPLORE_A)
+        loop_thread = host._thread
+        monkeypatch.undo()
+    assert message["type"] == "result"
+    assert [name for name, _ in calls].count("_write_json") == 1
+    assert not [name for name, thread in calls if thread is loop_thread]
+    assert service.queue.kind_counts() == {
+        "pending": {}, "leased": {}, "done": {"explore": 1}, "failed": {},
+    }
+    (ticket,) = service.queue.tickets("done").values()
+    assert ticket["worker"] == service.pool.worker_id
+
+
+def test_shutdown_closes_an_idle_connection_without_a_traceback(
+    tmp_path, monkeypatch, caplog
+):
+    """A client still connected at shutdown gets the grace period, then
+    its connection is closed and its handler finishes -- nothing is
+    left for the loop's teardown to cancel or destroy."""
+    monkeypatch.setattr(server_module, "SHUTDOWN_GRACE_S", 0.2)
+    service = build_service(tmp_path / "store", tmp_path / "queue", workers=1)
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        with ServiceThread(service) as host:
+            idle = socket.create_connection(("127.0.0.1", host.port))
+            idle.sendall(b'{"schema": "stp-service/1", "kind": "ping"}\n')
+            idle.settimeout(10.0)
+            assert b"pong" in idle.recv(4096)
+        # The server hung up on the idle client after the grace period.
+        assert idle.recv(4096) == b""
+        idle.close()
+        gc.collect()  # a handler task left pending logs as it is destroyed
+    assert not caplog.records
+    assert not service._connections
